@@ -29,6 +29,7 @@ from . import node as nd
 from . import scenario as sc
 from . import signing
 from . import sqltext
+from . import sqlvm
 from .node import Node, SelectQuery
 
 EXIT_OK = 0
@@ -259,7 +260,7 @@ def cmd_verify_chain(args) -> int:
     if data_dir is None or not data_dir.is_dir():
         return _fail(f"no data directory at {data_dir}", EXIT_CONFIG)
     try:
-        check = lgr.verify_stored_dir(data_dir)
+        check = sqlvm.load_data_dir(data_dir, check_signatures=True, check_state=True).check
     except (ValueError, lgr.CodecError) as exc:
         return _fail(f"cannot verify {data_dir}: {exc}", EXIT_CONFIG)
     _print({"result": str(check)})
@@ -314,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data-root", help="persist node data dirs under this root")
     p.set_defaults(fn=cmd_scenario)
 
-    p = sub.add_parser("verify-chain", help="verify stored chain files")
+    p = sub.add_parser("verify-chain", help="audit stored chain files and replay their state")
     p.add_argument("--config", help="node config JSON path")
     p.add_argument("--data-dir", help="verify this directory instead")
     p.set_defaults(fn=cmd_verify_chain)

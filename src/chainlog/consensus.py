@@ -327,22 +327,6 @@ class ValidationTracker:
             del self._seen[old]
 
 
-def record_validation(tracker: ValidationTracker, v: Validation) -> None:
-    tracker.record(v)
-
-
-def is_fully_validated(
-    tracker: ValidationTracker,
-    seq: int,
-    header_hash: bytes,
-    unl: Unl,
-    cfg: ConsensusConfig,
-) -> bool:
-    return tracker.count(seq, header_hash) >= min_count(
-        cfg.validation_quorum, unl.voters
-    )
-
-
 # ---------------------------------------------------------------------------
 # The per-node consensus state machine
 # ---------------------------------------------------------------------------

@@ -6,13 +6,18 @@ into ledgers whose headers chain by hash. Everything hashes over the canonical
 encoding from ``codec``, so every node derives identical digests for identical
 values.
 
-Chain verification is two-layered:
+Chain verification is two-layered. This module is the storage layer:
 
 * ``verify_chain`` checks an in-memory ledger list structurally (genesis,
   sequence continuity, parent links, transaction-set hashes).
-* ``verify_stored_chain`` additionally pins every stored block against the
-  ``chain.manifest`` header-hash index, so a flipped byte in any block file -
-  including fields of the tip header that no successor links to - is caught.
+* ``parse_stored_chain`` pins every stored block against the
+  ``chain.manifest`` header-hash index and checks the links, so a flipped
+  byte in any block file - including fields of the tip header that no
+  successor links to - is caught. ``verify_stored_dir`` adds that a stored
+  chain starts at genesis.
+
+The replay layer (signatures, re-derived state hashes) needs the table store
+and lives in ``sqlvm``; ``ChainCheck`` carries both layers' verdicts.
 """
 
 from __future__ import annotations
@@ -116,7 +121,8 @@ def literal_matches(value: Literal, col_type: ColumnType) -> bool:
     return isinstance(value, str)
 
 
-def _write_literal(w: Writer, value: Literal) -> None:
+def encode_literal(w: Writer, value: Literal) -> None:
+    """The one literal codec: chain operations, snapshots and sealed columns."""
     if isinstance(value, int):
         w.u8(0)
         w.i64(value)
@@ -125,7 +131,7 @@ def _write_literal(w: Writer, value: Literal) -> None:
         w.str_(value)
 
 
-def _read_literal(r: Reader) -> Literal:
+def decode_literal(r: Reader) -> Literal:
     tag = r.u8()
     if tag == 0:
         return r.i64()
@@ -305,7 +311,7 @@ def _write_value_map(w: Writer, values: Mapping[str, Literal]) -> None:
     w.u32(len(values))
     for col in sorted(values, key=lambda c: c.encode("utf-8")):
         w.str_(col)
-        _write_literal(w, values[col])
+        encode_literal(w, values[col])
 
 
 def _read_value_map(r: Reader) -> dict:
@@ -315,7 +321,7 @@ def _read_value_map(r: Reader) -> dict:
     for _ in range(count):
         col = r.str_()
         prev = check_sorted_key(prev, col.encode("utf-8"), "value map")
-        out[col] = _read_literal(r)
+        out[col] = decode_literal(r)
     return out
 
 
@@ -323,12 +329,12 @@ def _write_where(w: Writer, where: tuple) -> None:
     w.u32(len(where))
     for col, lit in where:
         w.str_(col)
-        _write_literal(w, lit)
+        encode_literal(w, lit)
 
 
 def _read_where(r: Reader) -> tuple:
     count = r.u32()
-    return tuple((r.str_(), _read_literal(r)) for _ in range(count))
+    return tuple((r.str_(), decode_literal(r)) for _ in range(count))
 
 
 def encode_operation(w: Writer, op: SqlOperation) -> None:
@@ -614,6 +620,9 @@ BAD_GENESIS = "bad_genesis"
 ORDER_GAP = "order_gap"
 PARENT_MISMATCH = "parent_mismatch"
 TXSET_MISMATCH = "txset_mismatch"
+# Replay-layer reasons (sqlvm.verify_and_apply):
+BAD_SIGNATURE = "bad_signature"
+STATE_MISMATCH = "state_mismatch"
 # Stored-layer reasons (file corruption / manifest pinning):
 PARSE_ERROR = "parse_error"
 MANIFEST_MISMATCH = "manifest_mismatch"
@@ -724,52 +733,51 @@ def read_block_files(data_dir: Path) -> dict:
     return out
 
 
-def verify_stored_chain(blocks: Mapping[int, bytes], manifest: Mapping[int, bytes]) -> ChainCheck:
-    """Verify stored block bytes against the manifest and chain structure.
+def parse_stored_chain(blocks: Mapping[int, bytes], manifest: Mapping[int, bytes]) -> tuple:
+    """Parse stored blocks once, pin them to the manifest, and check links.
 
-    ``blocks`` maps seq to raw ``.blk`` file bytes. Every present block must
-    parse, hash to its manifest entry, and link to its predecessor. A single
-    gap is tolerated only above genesis (a pruned prefix); the block after the
-    gap must link to the manifest hash of the missing predecessor, which keeps
-    pruned stores verifiable without their early files.
+    ``blocks`` maps seq to raw ``.blk`` file bytes. Returns the first break
+    (or ``CHAIN_OK``) and seq -> ``Ledger`` for the blocks parsed. Once every
+    block is pinned, the manifest is the index of parent hashes, so a block
+    links to its predecessor's manifest entry even when that file was pruned.
+    One gap between stored blocks is tolerated; whether the chain must start
+    at genesis is the caller's rule.
     """
-    if not blocks:
-        raise ValueError("no stored blocks to verify")
-    seqs = sorted(blocks)
     parsed = {}
-    for seq in seqs:
+    for seq in sorted(blocks):
         try:
             ledger = parse_block_file(blocks[seq])
         except CodecError:
-            return ChainCheck(False, seq, PARSE_ERROR)
+            return ChainCheck(False, seq, PARSE_ERROR), parsed
         if ledger.seq != seq:
-            return ChainCheck(False, seq, PARSE_ERROR)
+            return ChainCheck(False, seq, PARSE_ERROR), parsed
         pinned = manifest.get(seq)
         if pinned is None or ledger.header.hash() != pinned:
-            return ChainCheck(False, seq, MANIFEST_MISMATCH)
+            return ChainCheck(False, seq, MANIFEST_MISMATCH), parsed
         parsed[seq] = ledger
-    if seqs[0] != 0:
-        return ChainCheck(False, seqs[0], MISSING_BLOCK)
-    genesis = parsed[0]
-    if genesis.header.parent_hash != ZERO_HASH:
-        return ChainCheck(False, 0, BAD_GENESIS)
+    first = min(parsed, default=0)
     gaps = 0
-    for prev_seq, seq in zip(seqs, seqs[1:]):
-        header = parsed[seq].header
-        if seq == prev_seq + 1:
-            if header.parent_hash != parsed[prev_seq].header.hash():
-                return ChainCheck(False, seq, PARENT_MISMATCH)
-        else:
-            # Pruned prefix: link through the manifest instead of the file.
+    for seq, ledger in parsed.items():
+        if seq == 0:
+            continue  # genesis: its header forces a zero parent
+        if seq != first and seq - 1 not in parsed:
             gaps += 1
-            if gaps > 1:
-                return ChainCheck(False, seq, ORDER_GAP)
-            anchor = manifest.get(seq - 1)
-            if anchor is None:
-                return ChainCheck(False, seq, ORDER_GAP)
-            if header.parent_hash != anchor:
-                return ChainCheck(False, seq, PARENT_MISMATCH)
-    return CHAIN_OK
+        parent = manifest.get(seq - 1)
+        if gaps > 1 or parent is None:
+            return ChainCheck(False, seq, ORDER_GAP), parsed
+        if ledger.header.parent_hash != parent:
+            return ChainCheck(False, seq, PARENT_MISMATCH), parsed
+    return CHAIN_OK, parsed
+
+
+def verify_stored_chain(blocks: Mapping[int, bytes], manifest: Mapping[int, bytes]) -> ChainCheck:
+    """``parse_stored_chain`` for a stored chain that must start at genesis."""
+    if not blocks:
+        raise ValueError("no stored blocks to verify")
+    check, parsed = parse_stored_chain(blocks, manifest)
+    if check and 0 not in parsed:
+        return ChainCheck(False, min(parsed), MISSING_BLOCK)
+    return check
 
 
 def verify_stored_dir(data_dir: Path) -> ChainCheck:

@@ -241,32 +241,10 @@ def decrypt_payload(mode: EncryptionMode, data: bytes) -> bytes:
 ENC_PREFIX = "~enc:"
 
 
-def _encode_literal(value: lgr.Literal) -> bytes:
-    w = Writer()
-    if isinstance(value, str):
-        w.u8(1)
-        w.str_(value)
-    else:
-        w.u8(0)
-        w.i64(value)
-    return w.getvalue()
-
-
-def _decode_literal(data: bytes) -> lgr.Literal:
-    r = Reader(data)
-    tag = r.u8()
-    if tag == 1:
-        value: lgr.Literal = r.str_()
-    elif tag == 0:
-        value = r.i64()
-    else:
-        raise CodecError(f"unknown literal tag {tag}")
-    r.finish()
-    return value
-
-
 def encrypt_value(mode: EncryptionMode, value: lgr.Literal) -> str:
-    sealed = encrypt_payload(mode, _encode_literal(lgr.check_literal(value)))
+    w = Writer()
+    lgr.encode_literal(w, lgr.check_literal(value))
+    sealed = encrypt_payload(mode, w.getvalue())
     return ENC_PREFIX + base64.b64encode(sealed).decode("ascii")
 
 
@@ -278,7 +256,10 @@ def decrypt_value(mode: EncryptionMode, text: str) -> lgr.Literal:
     except (ValueError, TypeError):
         raise DecryptError("sealed value is not valid base64") from None
     try:
-        return _decode_literal(decrypt_payload(mode, sealed))
+        r = Reader(decrypt_payload(mode, sealed))
+        value = lgr.decode_literal(r)
+        r.finish()
+        return value
     except CodecError as exc:
         raise DecryptError(f"sealed value decodes to garbage: {exc}") from None
 
@@ -639,9 +620,9 @@ class RecoveryCenter:
 
     Registers in the simulator as a passive participant: every timer tick it
     pulls newly validated ledgers from the backup node, re-verifies each
-    (parse, parent link, post-apply state hash), and applies it. The first
-    inconsistency raises the integrity alarm and freezes the store; a frozen
-    center never serves a promotion.
+    (parse, seq, parent link, signatures, post-apply state hash), and applies
+    it. The first inconsistency raises the integrity alarm and freezes the
+    store; a frozen center never serves a promotion.
     """
 
     def __init__(
@@ -665,8 +646,7 @@ class RecoveryCenter:
         self.failure_declared = False
         self.failure_time_ms: Optional[int] = None
         self.promoted = False
-        genesis = backup.chain_tail.get(0)
-        self._last_hash = genesis.header.hash() if genesis else None
+        self._last_hash = lgr.genesis_ledger(sqlvm.state_hash(self.store)).header.hash()
 
     # -- sim protocol ---------------------------------------------------------
 
@@ -709,20 +689,12 @@ class RecoveryCenter:
         except CodecError as exc:
             self.alarm = f"ledger {seq} failed to parse: {exc}"
             return False
-        if ledger.seq != seq:
-            self.alarm = f"expected seq {seq}, received {ledger.seq}"
-            return False
-        if self._last_hash is not None and ledger.header.parent_hash != self._last_hash:
-            self.alarm = f"ledger {seq} does not chain to the shipped prefix"
-            return False
         scratch = self.store.clone()
-        try:
-            sqlvm.apply_ledger(scratch, ledger)
-        except (sqlvm.OutOfOrderLedgerError, ValueError) as exc:
-            self.alarm = f"ledger {seq} failed to apply: {exc}"
-            return False
-        if sqlvm.state_hash(scratch) != ledger.header.state_hash:
-            self.alarm = f"ledger {seq} state hash mismatch after apply"
+        check, _ = sqlvm.verify_and_apply(
+            scratch, self._last_hash, [ledger], check_signatures=True, check_state=True
+        )
+        if not check:
+            self.alarm = f"expected seq {seq} to verify, got {check}"
             return False
         self.store = scratch
         self.last_shipped_seq = seq

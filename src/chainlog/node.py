@@ -543,11 +543,7 @@ class Node:
 
     def _commit(self, ledger: Ledger) -> None:
         self._rollback_optimistic()
-        results = sqlvm.apply_ledger(self.store, ledger)
-        for tx, result in zip(ledger.txs, results):
-            self.committed_txs[tx.tx_id] = TxOutcome(
-                ledger.seq, result.ok, None if result.ok else result.reason
-            )
+        self._index_outcomes(ledger, sqlvm.apply_ledger(self.store, ledger))
         self._read_store = self.store.clone()
         self.tip = ledger.header
         self.chain_tail[ledger.seq] = ledger
@@ -614,63 +610,18 @@ class Node:
         return PrunedRange(removed_from, removed_to, anchor_cp)
 
     def _load_from_disk(self) -> None:
-        """Rebuild state from data_dir: checkpoint + suffix, or full replay."""
+        """Rebuild state from data_dir: latest checkpoint (or genesis) plus the blocks above it."""
         assert self.data_dir is not None
-        blocks = lgr.read_block_files(self.data_dir)
-        manifest = lgr.read_manifest(self.data_dir)
-        cp_path = sqlvm.latest_checkpoint_path(self.data_dir)
+        stored = sqlvm.load_data_dir(self.data_dir, check_signatures=False, check_state=False)
+        if not stored.check:
+            raise ValueError(f"stored chain is corrupt: {stored.check}")
         self.committed_txs = {}
-        if cp_path is None:
-            check = lgr.verify_stored_chain(blocks, manifest)
-            if not check:
-                raise ValueError(f"stored chain is corrupt: {check}")
-            if sorted(blocks) != list(range(len(blocks))):
-                raise ValueError("pruned chain without a checkpoint cannot be replayed")
-            chain = [lgr.parse_block_file(blocks[seq]) for seq in sorted(blocks)]
-            store = sqlvm.TableStore()
-            for ledger in chain[1:]:
-                results = sqlvm.apply_ledger(store, ledger)
-                self._index_outcomes(ledger, results)
-            self.chain_tail = {ledger.seq: ledger for ledger in chain}
-            tip_header = chain[-1].header
-        else:
-            cp = sqlvm.read_checkpoint_file(cp_path)
-            store = sqlvm.restore_checkpoint(cp)
-            anchor = manifest.get(cp.ledger_seq)
-            if anchor is None:
-                raise ValueError(f"manifest lacks checkpoint anchor seq {cp.ledger_seq}")
-            self.chain_tail = {}
-            tip_header = None
-            # The checkpoint ledger's own block, if retained, supplies the tip
-            # header when no suffix follows.
-            if cp.ledger_seq in blocks:
-                anchor_ledger = lgr.parse_block_file(blocks[cp.ledger_seq])
-                if anchor_ledger.header.hash() != anchor:
-                    raise ValueError("checkpoint anchor block does not match manifest")
-                self.chain_tail[cp.ledger_seq] = anchor_ledger
-                tip_header = anchor_ledger.header
-            elif cp.ledger_seq == 0:
-                tip_header = lgr.genesis_ledger(sqlvm.state_hash(sqlvm.TableStore())).header
-            parent_hash = anchor
-            seq = cp.ledger_seq + 1
-            while seq in blocks:
-                ledger = lgr.parse_block_file(blocks[seq])
-                pinned = manifest.get(seq)
-                if pinned is None or ledger.header.hash() != pinned:
-                    raise ValueError(f"stored block {seq} does not match manifest")
-                if ledger.header.parent_hash != parent_hash:
-                    raise ValueError(f"stored block {seq} does not chain")
-                results = sqlvm.apply_ledger(store, ledger)
-                self._index_outcomes(ledger, results)
-                self.chain_tail[seq] = ledger
-                parent_hash = ledger.header.hash()
-                tip_header = ledger.header
-                seq += 1
-            if tip_header is None:
-                raise ValueError("cannot reconstruct the tip header from this data_dir")
-        self.store = store
-        self._read_store = store.clone()
-        self.tip = tip_header
+        for ledger, results in stored.replayed:
+            self._index_outcomes(ledger, results)
+        self.chain_tail = dict(stored.ledgers)
+        self.store = stored.store
+        self._read_store = stored.store.clone()
+        self.tip = stored.tip
         self.engine.reset_to_seq(self.tip.seq + 1)
         self.known_validated_seq = self.tip.seq
 
@@ -683,17 +634,11 @@ class Node:
     # -- serving and consuming sync -------------------------------------------------
 
     def _serve_ledgers(self, req: LedgerRequest) -> Optional[LedgerData]:
-        tip_state = sqlvm.state_hash(self._read_store)
         from_seq = max(req.from_seq, 0)
         to_seq = min(req.to_seq, self.tip.seq)
         have = self.chain_tail
         if all(seq in have for seq in range(from_seq, to_seq + 1)):
-            blobs = tuple(
-                lgr.serialize_ledger(have[seq]) for seq in range(from_seq, to_seq + 1)
-            )
-            return LedgerData(
-                self.node_id, self.tip.seq, self.tip.hash(), tip_state, blobs
-            )
+            return self._ledger_data([have[seq] for seq in range(from_seq, to_seq + 1)])
         if not req.allow_checkpoint or self.data_dir is None:
             return None
         cp_path = sqlvm.latest_checkpoint_path(self.data_dir)
@@ -707,20 +652,21 @@ class Node:
         # Serve the checkpoint block itself too when we still hold it; the
         # first suffix entry then doubles as the receiver's tip header even
         # when the checkpoint sits at the tip.
-        blobs = tuple(
-            lgr.serialize_ledger(have[seq])
-            for seq in range(cp.ledger_seq, self.tip.seq + 1)
-            if seq in have
+        served = [have[seq] for seq in range(cp.ledger_seq, self.tip.seq + 1) if seq in have]
+        return self._ledger_data(
+            served, checkpoint=cp.snapshot, checkpoint_seq=cp.ledger_seq, anchor_hash=anchor
         )
+
+    def _ledger_data(self, served: List[Ledger], **checkpoint) -> LedgerData:
+        """Advertise the last header served, or our tip when serving none.
+
+        A capped request is answered up to its cap even after we moved past
+        it, so the advertised tip must be one the reply actually reaches.
+        """
+        tip = served[-1].header if served else self.tip
+        blobs = tuple(lgr.serialize_ledger(ledger) for ledger in served)
         return LedgerData(
-            self.node_id,
-            self.tip.seq,
-            self.tip.hash(),
-            tip_state,
-            blobs,
-            checkpoint=cp.snapshot,
-            checkpoint_seq=cp.ledger_seq,
-            anchor_hash=anchor,
+            self.node_id, tip.seq, tip.hash(), tip.state_hash, blobs, **checkpoint
         )
 
     def apply_sync(self, data: LedgerData) -> SyncReport:
@@ -750,24 +696,19 @@ class Node:
         tip_header: Optional[lgr.LedgerHeader] = None
         if used_checkpoint:
             try:
-                cp = sqlvm.Checkpoint(
-                    data.checkpoint_seq,
-                    data.checkpoint,
-                    _snapshot_state_hash(data.checkpoint),
-                )
-                scratch = sqlvm.restore_checkpoint(cp)
-            except (sqlvm.CorruptCheckpointError, CodecError) as exc:
+                scratch = sqlvm.load_snapshot(data.checkpoint_seq, data.checkpoint)
+            except sqlvm.CorruptCheckpointError as exc:
                 return SyncReport(False, reason=f"BrokenAt(checkpoint: {exc})")
+            snapshot_hash = sqlvm.state_hash(scratch)
             new_tail: Dict[int, Ledger] = {}
-            parent_hash = data.anchor_hash
-            expected_seq = data.checkpoint_seq + 1
+            anchor_hash = data.anchor_hash
             if ledgers and ledgers[0].seq == data.checkpoint_seq:
                 # The checkpoint ledger itself: already reflected in the
-                # snapshot, so verify identity and keep only the header.
+                # snapshot, so verify identity and state and keep its header.
                 head = ledgers.pop(0)
                 if head.header.hash() != data.anchor_hash:
                     return SyncReport(False, reason=f"BrokenAt({head.seq}, parent_mismatch)")
-                if head.header.state_hash != sqlvm.state_hash(scratch):
+                if head.header.state_hash != snapshot_hash:
                     return SyncReport(False, reason=f"BrokenAt({head.seq}, state_mismatch)")
                 new_tail[head.seq] = head
                 tip_header = head.header
@@ -778,51 +719,35 @@ class Node:
             if not ledgers:
                 return SyncReport(False, reason="peer sent nothing new")
             scratch = self._read_store.clone()
-            parent_hash = self.tip.hash()
-            expected_seq = self.tip.seq + 1
+            anchor_hash = self.tip.hash()
             new_tail = dict(self.chain_tail)
 
-        outcomes: List[Tuple[Ledger, list]] = []
-        for ledger in ledgers:
-            if ledger.seq != expected_seq:
-                return SyncReport(False, reason="BrokenAt(order_gap)")
-            if ledger.header.parent_hash != parent_hash:
-                return SyncReport(False, reason=f"BrokenAt({ledger.seq}, parent_mismatch)")
-            for tx in ledger.txs:
-                if not lgr.verify_signature(tx):
-                    return SyncReport(False, reason=f"BrokenAt({ledger.seq}, bad_signature)")
-            results = sqlvm.apply_ledger(scratch, ledger)
-            if ledger.header.state_hash != sqlvm.state_hash(scratch):
-                return SyncReport(False, reason=f"BrokenAt({ledger.seq}, state_mismatch)")
-            outcomes.append((ledger, results))
-            parent_hash = ledger.header.hash()
-            expected_seq += 1
-
-        if outcomes:
-            tip_header = outcomes[-1][0].header
+        check, results = sqlvm.verify_and_apply(
+            scratch, anchor_hash, ledgers, check_signatures=True, check_state=True
+        )
+        if not check:
+            return SyncReport(False, reason=str(check))
+        if ledgers:
+            tip_header = ledgers[-1].header
         if tip_header is None:
             return SyncReport(False, reason="peer sent nothing new")
         if tip_header.seq != data.tip_seq or tip_header.hash() != data.tip_header_hash:
             return SyncReport(False, reason="served chain does not reach advertised tip")
-        if sqlvm.state_hash(scratch) != data.tip_state_hash:
-            return SyncReport(False, reason="state hash mismatch at tip")
 
         # Verified: adopt.
-        from_seq = outcomes[0][0].seq if outcomes else tip_header.seq
+        from_seq = ledgers[0].seq if ledgers else tip_header.seq
         self.store = scratch
         self._read_store = scratch.clone()
         self.chain_tail = new_tail
         if used_checkpoint:
             self.committed_txs = {}
             if self.data_dir is not None:
-                cp_obj = sqlvm.Checkpoint(
-                    data.checkpoint_seq, data.checkpoint, _snapshot_state_hash(data.checkpoint)
-                )
-                sqlvm.write_checkpoint_file(self.data_dir, cp_obj)
+                cp = sqlvm.Checkpoint(data.checkpoint_seq, data.checkpoint, snapshot_hash)
+                sqlvm.write_checkpoint_file(self.data_dir, cp)
                 lgr.append_manifest(self.data_dir, data.checkpoint_seq, data.anchor_hash)
-        for ledger, results in outcomes:
+        for ledger, ledger_results in zip(ledgers, results):
             self.chain_tail[ledger.seq] = ledger
-            self._index_outcomes(ledger, results)
+            self._index_outcomes(ledger, ledger_results)
             self._persist_ledger(ledger)
         self.tip = tip_header
         self.known_validated_seq = max(self.known_validated_seq, tip_header.seq)
@@ -835,12 +760,6 @@ class Node:
             used_checkpoint=used_checkpoint,
             became_voting=not was_voting,
         )
-
-
-def _snapshot_state_hash(snapshot: bytes) -> bytes:
-    """Content hash of a raw snapshot; raises CodecError on garbage."""
-    store = sqlvm.deserialize_store(snapshot)
-    return sqlvm.state_hash(store)
 
 
 # ---------------------------------------------------------------------------

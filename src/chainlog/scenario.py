@@ -21,7 +21,7 @@ Supported actions:
   peers            print one node's peer list
   checkpoint       write a checkpoint on one node
   prune            prune one partial-record node
-  verify_chain     verify a node's held chain
+  verify_chain     audit a node's held chain: links, signatures, replayed state
   assert_equal_states / assert_tip_at_least / assert_rows / assert_status
   attach_center    wire a RecoveryCenter to a backup node
   declare_failure / promote / measure
@@ -44,6 +44,7 @@ from . import netsim
 from . import node as nd
 from . import signing
 from . import sqltext
+from . import sqlvm
 from .consensus import ConsensusConfig, Unl
 from .node import Node, SelectQuery
 
@@ -288,7 +289,7 @@ class _Runner:
     def do_verify_chain(self, args: dict) -> None:
         node = self._node(args["node"])
         chain = [node.chain_tail[s] for s in sorted(node.chain_tail)]
-        check = lgr.verify_chain(chain)
+        check, _ = sqlvm.replay_from_genesis(chain, check_signatures=True, check_state=True)
         self.emit("verify_chain", node=node.node_id, result=str(check))
 
     # -- assertions ------------------------------------------------------------

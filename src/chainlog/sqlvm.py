@@ -5,18 +5,30 @@ replica, replaying the same chain, lands on the same canonical state hash.
 Rejections are total and deterministic (never exceptions), because replicas
 must agree on outcomes, not just on successes. A ``PendingOverlay`` supports
 optimistic apply with exact rollback for the consensus path.
+
+Chain verification is two-layered: ``ledger`` checks storage, this module
+checks replay. Every ledger run a node trusts goes through
+``verify_and_apply``; where the ledgers came from sets its checks:
+
+* sync replies, shipped ledgers (``RecoveryCenter``) and audits
+  (``verify-chain``, scenario ``verify_chain``): every signature and state;
+* ``replay_chain``: every state, as its callers verify signatures themselves;
+* restart (``load_data_dir`` from ``Node._load_from_disk``): the manifest
+  pin, the links and the tip state, as the node wrote those blocks itself.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Optional, Union
+from typing import Iterable, Optional, Tuple, Union
 
+from . import ledger as lgr
 from .codec import CodecError, Reader, Writer, check_sorted_key
 from .ledger import (
     AccountId,
     ACCOUNT_LEN,
+    ChainCheck,
     ColumnType,
     CreateTable,
     Delete,
@@ -25,15 +37,16 @@ from .ledger import (
     HASH_LEN,
     Insert,
     Ledger,
-    Literal,
+    LedgerHeader,
     Perm,
     Transaction,
     Update,
+    decode_literal,
+    encode_literal,
     hash32,
     literal_matches,
     perms_from_mask,
     perms_to_mask,
-    verify_chain,
 )
 
 REJECT_BAD_SEQ = "bad_seq"
@@ -168,24 +181,6 @@ class PendingOverlay:
 # ---------------------------------------------------------------------------
 
 
-def _encode_literal(w: Writer, value: Literal) -> None:
-    if isinstance(value, int):
-        w.u8(0)
-        w.i64(value)
-    else:
-        w.u8(1)
-        w.str_(value)
-
-
-def _decode_literal(r: Reader) -> Literal:
-    tag = r.u8()
-    if tag == 0:
-        return r.i64()
-    if tag == 1:
-        return r.str_()
-    raise CodecError(f"unknown literal tag {tag}")
-
-
 def _encode_content(w: Writer, store: TableStore) -> None:
     # Tables sorted by name, grants by grantee, rows by row_id, cells by
     # column name: the byte stream is a pure function of abstract content.
@@ -210,7 +205,7 @@ def _encode_content(w: Writer, store: TableStore) -> None:
             w.u32(len(vals))
             for col in sorted(vals, key=lambda c: c.encode("utf-8")):
                 w.str_(col)
-                _encode_literal(w, vals[col])
+                encode_literal(w, vals[col])
     w.u32(len(store.account_seq))
     for account in sorted(store.account_seq, key=lambda a: a.id):
         w.raw(account.id)
@@ -274,7 +269,7 @@ def deserialize_store(data: bytes) -> TableStore:
             for _ in range(r.u32()):
                 col = r.str_()
                 prev_col = check_sorted_key(prev_col, col.encode("utf-8"), "cells")
-                vals[col] = _decode_literal(r)
+                vals[col] = decode_literal(r)
             rows[row_id] = vals
         store.tables[name] = Table(name, tuple(columns), owner, grants, rows, next_row_id)
     prev_acct = None
@@ -451,19 +446,64 @@ def apply_ledger(store: TableStore, ledger: Ledger) -> list:
     return results
 
 
-def replay_chain(ledgers: list, check_state: bool = True) -> TableStore:
-    """Rebuild a store from a chain starting at genesis (the audit path)."""
-    check = verify_chain(ledgers)
-    if not check:
-        raise ValueError(f"chain does not verify: {check}")
+def verify_and_apply(
+    store: TableStore,
+    anchor_hash: bytes,
+    ledgers: Iterable[Ledger],
+    check_signatures: bool,
+    check_state: bool,
+) -> Tuple[ChainCheck, list]:
+    """Check a ledger run against its anchor and apply it to ``store``.
+
+    The anchor is ``store`` plus the header hash it sits on: genesis, a
+    checkpoint, or the local tip. Returns the first break as
+    ``BrokenAt(seq, reason)`` (or ``CHAIN_OK``) and the per-tx results of
+    each ledger applied. The store advances in place, also up to a break, so
+    a caller that may reject the run passes a scratch copy.
+    """
+    parent = anchor_hash
+    applied = []
+    for ledger in ledgers:
+        header = ledger.header
+        if header.seq != store.applied_ledger_seq + 1:
+            return ChainCheck(False, header.seq, lgr.ORDER_GAP), applied
+        if header.parent_hash != parent:
+            return ChainCheck(False, header.seq, lgr.PARENT_MISMATCH), applied
+        if check_signatures and not all(lgr.verify_signature(tx) for tx in ledger.txs):
+            return ChainCheck(False, header.seq, lgr.BAD_SIGNATURE), applied
+        results = apply_ledger(store, ledger)
+        if check_state and header.state_hash != state_hash(store):
+            return ChainCheck(False, header.seq, lgr.STATE_MISMATCH), applied
+        applied.append(results)
+        parent = header.hash()
+    return lgr.CHAIN_OK, applied
+
+
+def replay_from_genesis(
+    ledgers: list, check_signatures: bool, check_state: bool
+) -> Tuple[ChainCheck, TableStore]:
+    """Replay an in-memory chain that starts at genesis onto an empty store."""
+    if not ledgers:
+        raise ValueError("cannot verify an empty chain")
     store = TableStore()
-    genesis = ledgers[0]
-    if check_state and genesis.header.state_hash != state_hash(store):
-        raise ValueError("genesis state hash does not match the empty store")
-    for ledger in ledgers[1:]:
-        apply_ledger(store, ledger)
-        if check_state and ledger.header.state_hash != state_hash(store):
-            raise ValueError(f"state hash mismatch after ledger {ledger.seq}")
+    genesis = ledgers[0].header
+    if genesis.seq != 0:
+        return ChainCheck(False, 0, lgr.BAD_GENESIS), store
+    if check_state and genesis.state_hash != state_hash(store):
+        return ChainCheck(False, 0, lgr.STATE_MISMATCH), store
+    check, _ = verify_and_apply(store, genesis.hash(), ledgers[1:], check_signatures, check_state)
+    return check, store
+
+
+def replay_chain(ledgers: list, check_state: bool = True) -> TableStore:
+    """Rebuild a store from a chain starting at genesis (the audit path).
+
+    Signatures are not checked: the audit that calls this verifies them.
+    """
+    check, store = replay_from_genesis(ledgers, False, check_state)
+    if not check:
+        what = "state hash mismatch" if check.reason == lgr.STATE_MISMATCH else "broken chain"
+        raise ValueError(f"chain does not replay, {what}: {check}")
     return store
 
 
@@ -543,17 +583,23 @@ def make_checkpoint(store: TableStore) -> Checkpoint:
     return Checkpoint(store.applied_ledger_seq, serialize_store(store), state_hash(store))
 
 
-def restore_checkpoint(cp: Checkpoint) -> TableStore:
+def load_snapshot(ledger_seq: int, snapshot: bytes) -> TableStore:
+    """Decode snapshot bytes taken at ``ledger_seq``; the content is unchecked."""
     try:
-        store = deserialize_store(cp.snapshot)
+        store = deserialize_store(snapshot)
     except CodecError as exc:
         raise CorruptCheckpointError(f"snapshot does not parse: {exc}") from None
+    if store.applied_ledger_seq != ledger_seq:
+        raise CorruptCheckpointError(
+            f"snapshot applied seq {store.applied_ledger_seq} != checkpoint seq {ledger_seq}"
+        )
+    return store
+
+
+def restore_checkpoint(cp: Checkpoint) -> TableStore:
+    store = load_snapshot(cp.ledger_seq, cp.snapshot)
     if state_hash(store) != cp.snapshot_hash:
         raise CorruptCheckpointError("snapshot hash mismatch")
-    if store.applied_ledger_seq != cp.ledger_seq:
-        raise CorruptCheckpointError(
-            f"snapshot applied seq {store.applied_ledger_seq} != checkpoint seq {cp.ledger_seq}"
-        )
     return store
 
 
@@ -594,3 +640,64 @@ def latest_checkpoint_path(data_dir: Path) -> Optional[Path]:
         if seq > best_seq:
             best, best_seq = path, seq
     return best
+
+
+# ---------------------------------------------------------------------------
+# Data directories
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class StoredChain:
+    """A data directory read back by ``load_data_dir``; the rest is set when ``check`` is ok."""
+
+    check: ChainCheck
+    ledgers: dict  # seq -> Ledger for every stored block parsed
+    store: TableStore = field(default_factory=TableStore)  # the state at ``tip``
+    tip: Optional[LedgerHeader] = None
+    replayed: list = field(default_factory=list)  # (Ledger, per-tx results) above the anchor
+
+
+def load_data_dir(data_dir: Path, check_signatures: bool, check_state: bool) -> StoredChain:
+    """Read a data directory the one way restart and audit share.
+
+    Every block is parsed once and storage-checked. The anchor is the latest
+    checkpoint, else the empty store at genesis; a stored anchor block must
+    carry its state hash. The blocks above the anchor are replayed with the
+    given checks, and the tip state is compared in any case. Raises
+    ValueError when there is nothing to check against.
+    """
+    blocks = lgr.read_block_files(data_dir)
+    if not blocks:
+        raise ValueError(f"no block files under {data_dir}")
+    manifest = lgr.read_manifest(data_dir)
+    check, ledgers = lgr.parse_stored_chain(blocks, manifest)
+    if not check:
+        return StoredChain(check, ledgers)
+    cp_path = latest_checkpoint_path(data_dir)
+    if cp_path is None:
+        if 0 not in ledgers:
+            return StoredChain(ChainCheck(False, min(ledgers), lgr.MISSING_BLOCK), ledgers)
+        store, anchor_seq = TableStore(), 0
+        anchor_state = state_hash(store)
+    else:
+        cp = read_checkpoint_file(cp_path)
+        store, anchor_seq, anchor_state = restore_checkpoint(cp), cp.ledger_seq, cp.snapshot_hash
+    anchor_hash = manifest.get(anchor_seq)
+    if anchor_hash is None:
+        raise ValueError(f"manifest lacks checkpoint anchor seq {anchor_seq}")
+    head = ledgers.get(anchor_seq)
+    if head is None and anchor_seq == 0:
+        head = lgr.genesis_ledger(anchor_state)  # a genesis is fixed by its state
+    run = [ledgers[seq] for seq in sorted(ledgers) if seq > anchor_seq]
+    tip = run[-1] if run else head
+    if tip is None:
+        raise ValueError(f"cannot reconstruct the tip header from {data_dir}")
+    if head is not None and head.header.state_hash != anchor_state:
+        return StoredChain(ChainCheck(False, anchor_seq, lgr.STATE_MISMATCH), ledgers)
+    check, results = verify_and_apply(store, anchor_hash, run, check_signatures, check_state)
+    if check and run and not check_state and tip.header.state_hash != state_hash(store):
+        check = ChainCheck(False, tip.seq, lgr.STATE_MISMATCH)
+    if not check:
+        return StoredChain(check, ledgers)
+    return StoredChain(check, ledgers, store, tip.header, list(zip(run, results)))

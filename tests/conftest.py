@@ -114,6 +114,42 @@ def full_chain(node: Node) -> list:
     return [node.chain_tail[s] for s in sorted(node.chain_tail)]
 
 
+def forge_ledger(ledger: lgr.Ledger, bad_signature: bool = False, state_hash=None) -> lgr.Ledger:
+    """A self-consistent rewrite: the header is re-hashed over the new txs.
+
+    Parse, tx-set and link checks all pass on it; only a signature check
+    (``bad_signature``) or a replayed state (``state_hash``) can tell.
+    """
+    txs = ledger.txs
+    if bad_signature:
+        tx = txs[0]
+        sig = bytes(b ^ 0xFF for b in tx.signature)
+        txs = (Transaction(tx.account, tx.seq, tx.op, tx.public_key, sig),) + txs[1:]
+    h = ledger.header
+    header = lgr.LedgerHeader(
+        h.seq, h.parent_hash, lgr.compute_tx_set_hash(txs), state_hash or h.state_hash, h.close_time
+    )
+    return lgr.Ledger(header, txs)
+
+
+def forge_tip(data_dir, bad_signature: bool = False) -> int:
+    """Forge the stored tip with a wrong state hash and re-pin it in the manifest.
+
+    This is what a writer with access to the data directory can do; the
+    storage check passes and only replay catches it. Returns the tip seq.
+    """
+    blocks = lgr.read_block_files(data_dir)
+    seq = max(blocks)
+    tip = lgr.parse_block_file(blocks[seq])
+    forged = forge_ledger(tip, bad_signature, state_hash=b"\x09" * 32)
+    lgr.write_block_file(data_dir, forged)
+    manifest = data_dir / lgr.MANIFEST_NAME
+    lines = [l for l in manifest.read_text().splitlines() if not l.startswith(f"{seq} ")]
+    lines.append(f"{seq} {forged.header.hash().hex()}")
+    manifest.write_text("".join(line + "\n" for line in lines))
+    return seq
+
+
 def chain_occurrences(node: Node, tx_id: bytes) -> int:
     return sum(
         1

@@ -1,11 +1,14 @@
 """CLI contract: exit codes, key files, env overrides, output stability."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import chainlog
 from chainlog import signing
 from chainlog.cli import (
     DATA_DIR_ENV,
@@ -16,6 +19,8 @@ from chainlog.cli import (
     load_keypair,
     main,
 )
+
+from conftest import forge_tip
 
 
 @pytest.fixture(autouse=True)
@@ -230,9 +235,20 @@ def test_verify_chain_flags_and_corruption(tmp_path, capsys):
     assert main(["submit", "--config", cfg, "--key", key, "CREATE TABLE t (x INT)"]) == (
         EXIT_OK
     )
+    assert main(["submit", "--config", cfg, "--key", key, "INSERT INTO t (x) VALUES (1)"]) == (
+        EXIT_OK
+    )
     capsys.readouterr()
     assert main(["verify-chain", "--config", cfg]) == EXIT_OK
     capsys.readouterr()
+    # A forged tip: bad signature and wrong state, re-hashed, manifest re-pinned.
+    saved = {p: p.read_bytes() for p in data.iterdir()}
+    assert forge_tip(data, bad_signature=True) == 2
+    assert main(["verify-chain", "--config", cfg]) == EXIT_ASSERTION
+    (out,) = _lines(capsys)
+    assert out["result"] in ("BrokenAt(2, bad_signature)", "BrokenAt(2, state_mismatch)")
+    for path, raw in saved.items():
+        path.write_bytes(raw)
     victim = data / "ledger_1.blk"
     raw = bytearray(victim.read_bytes())
     raw[-1] ^= 0xFF
@@ -309,10 +325,13 @@ def test_help_exits_zero(capsys):
 
 def test_console_script_entry_point(tmp_path):
     cfg = _config(tmp_path)
+    # The child imports the same chainlog as this process, installed or not.
+    env = dict(os.environ, PYTHONPATH=str(Path(chainlog.__file__).resolve().parents[1]))
     proc = subprocess.run(
         [sys.executable, "-m", "chainlog.cli", "server-info", "--config", cfg],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout.splitlines()[-1])["node_id"] == "solo"

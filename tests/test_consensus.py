@@ -18,7 +18,6 @@ from chainlog.consensus import (
     Validation,
     ValidationTracker,
     check_consensus,
-    is_fully_validated,
     min_count,
     sign_proposal,
     sign_validation,
@@ -252,8 +251,6 @@ def test_tracker_counts_and_quorum():
     tracker.record(_validation("e", 1, good))
     assert tracker.count(1, good) == 4
     assert tracker.quorum_hash(1, unl, cfg) == good
-    assert is_fully_validated(tracker, 1, good, unl, cfg)
-    assert not is_fully_validated(tracker, 1, bad, unl, cfg)
 
 
 def test_tracker_duplicates_idempotent():

@@ -14,6 +14,8 @@ from chainlog.ledger import (
     Delete,
     Insert,
     Update,
+    deserialize_ledger,
+    serialize_ledger,
     sign_transaction,
 )
 from chainlog.middleware import (
@@ -48,7 +50,13 @@ from chainlog.netsim import SimNetwork
 from chainlog.node import Node, NodeConfig, SelectQuery, submit_via
 from chainlog.sqlvm import state_hash
 
-from conftest import account, build_cluster, chain_occurrences, run_until_committed
+from conftest import (
+    account,
+    build_cluster,
+    chain_occurrences,
+    forge_ledger,
+    run_until_committed,
+)
 from reference_executor import RefExecutor, store_abstract
 
 KEY = hashlib.sha256(b"column key").digest()
@@ -563,6 +571,22 @@ def test_center_detects_replayed_and_unchained_blobs():
 
 
 _FIRST: list = []
+
+
+def test_center_alarms_on_rehashed_ledger_with_bad_signature():
+    # The forged ledger links and replays to the right state: only the
+    # signature check can tell.
+    def hook(seq, blob):
+        if seq != 2:
+            return blob
+        return serialize_ledger(forge_ledger(deserialize_ledger(blob), bad_signature=True))
+
+    net, node, center = _backup_rig(transport_hook=hook)
+    _commit_n(net, node, account("writer"), 2)
+    net.run_for(300)
+    assert center.last_shipped_seq == 1
+    assert center.alarm is not None
+    assert "expected seq 2" in center.alarm and "bad_signature" in center.alarm
 
 
 def test_promotion_guards():

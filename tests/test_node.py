@@ -34,6 +34,7 @@ from conftest import (
     account,
     build_cluster,
     chain_occurrences,
+    forge_tip,
     make_tx,
     run_until_committed,
     run_until_tip,
@@ -306,10 +307,17 @@ def test_corrupt_disk_refuses_to_load(tmp_path):
     tx = submit(net, node, kp, 1, CreateTable("t", SCHEMA))
     run_until_committed(net, [node], [tx.tx_id])
     victim = data / "ledger_1.blk"
-    raw = bytearray(victim.read_bytes())
+    original = victim.read_bytes()
+    raw = bytearray(original)
     raw[len(raw) // 2] ^= 0xFF
     victim.write_bytes(bytes(raw))
     with pytest.raises(ValueError, match="corrupt"):
+        Node(cfg)
+    victim.write_bytes(original)
+    # A re-hashed tip with a forged state passes the manifest pin; the tip
+    # state check on restart still catches it.
+    seq = forge_tip(data)
+    with pytest.raises(ValueError, match=rf"BrokenAt\({seq}, state_mismatch\)"):
         Node(cfg)
 
 
@@ -362,6 +370,31 @@ def test_sync_from_full_peer_explicit():
     # Syncing again at an equal tip verifies and stays put.
     again = sync_from_peer(net, observer.node_id, "n2")
     assert again.ok and again.from_seq == again.to_seq == observer.tip.seq
+
+
+def test_capped_sync_reply_applies_after_peer_moves_on():
+    # A request capped at a heartbeat's tip is answered up to the cap, and
+    # the reply advertises the cap, even once the peer has committed past it.
+    net, nodes = build_cluster(3, seed=37)
+    kp = account("writer")
+    tx1 = submit(net, nodes[0], kp, 1, CreateTable("t", SCHEMA))
+    run_until_committed(net, nodes, [tx1.tx_id])
+    cap = nodes[0].tip.seq
+    tx2 = submit(net, nodes[0], kp, 2, Insert("t", {"qty": 1, "name": "a"}))
+    run_until_committed(net, nodes, [tx2.tx_id])
+    assert nodes[0].tip.seq > cap
+    observer = _add_observer(net, nodes)
+    reply = nodes[0]._serve_ledgers(LedgerRequest(observer.node_id, 1, cap))
+    capped = nodes[0].chain_tail[cap].header
+    assert (reply.tip_seq, reply.tip_header_hash, reply.tip_state_hash) == (
+        cap,
+        capped.hash(),
+        capped.state_hash,
+    )
+    report = observer.apply_sync(reply)
+    assert report.ok and report.to_seq == cap
+    assert observer.tip == capped
+    assert observer.committed_state_hash() == capped.state_hash
 
 
 def test_killed_peer_cannot_serve_sync():
