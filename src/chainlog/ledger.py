@@ -7,29 +7,29 @@ encoding from ``codec``, so every node derives identical digests for identical
 values.
 
 Chain verification is two-layered. This module is the storage layer:
+``parse_stored_chain`` pins every stored block against the
+``chain.manifest`` header-hash index and checks the links, so a flipped byte
+in any block file - including fields of the tip header that no successor
+links to - is caught. ``verify_stored_dir`` adds that a stored chain starts at
+genesis. A ``Ledger`` checks its own transaction-set hash when built.
 
-* ``verify_chain`` checks an in-memory ledger list structurally (genesis,
-  sequence continuity, parent links, transaction-set hashes).
-* ``parse_stored_chain`` pins every stored block against the
-  ``chain.manifest`` header-hash index and checks the links, so a flipped
-  byte in any block file - including fields of the tip header that no
-  successor links to - is caught. ``verify_stored_dir`` adds that a stored
-  chain starts at genesis.
-
-The replay layer (signatures, re-derived state hashes) needs the table store
-and lives in ``sqlvm``; ``ChainCheck`` carries both layers' verdicts.
+The replay layer (seqs and links of an in-memory run, signatures, re-derived
+state hashes) needs the table store and lives in ``sqlvm``; ``ChainCheck``
+carries both layers' verdicts.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import hashlib
 import re
+import struct
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Mapping, Optional, Union
+from typing import Callable, Iterable, Mapping, Optional, Union
 
-from .codec import CodecError, Reader, Writer, check_sorted_key
+from .codec import MAX_LEN, CodecError, Reader, Writer, check_sorted_key
 from . import signing
 
 HASH_LEN = 32
@@ -121,14 +121,34 @@ def literal_matches(value: Literal, col_type: ColumnType) -> bool:
     return isinstance(value, str)
 
 
+# An INT is tag 0 and a big-endian i64; a TEXT is tag 1 and u32-prefixed
+# UTF-8: exactly codec.Writer's u8 + i64 / u8 + str_.
+_int_literal = functools.partial(struct.Struct(">Bq").pack, 0)  # struct.error out of range
+_TEXT_HEAD = struct.Struct(">BI")
+
+
+def _text_literal(value: str) -> bytes:
+    data = value.encode("utf-8")
+    if len(data) > MAX_LEN:
+        raise ValueError(f"byte string too long: {len(data)}")
+    return _TEXT_HEAD.pack(1, len(data)) + data
+
+
+def literal_encoder(col_type: ColumnType) -> Callable[[Literal], bytes]:
+    """The literal codec for the cells of one column type, for bulk encoding.
+
+    The INT encoder runs at C speed and raises ``struct.error`` for a value
+    outside i64; callers translate that to ``ValueError``.
+    """
+    return _int_literal if col_type is ColumnType.INT else _text_literal
+
+
 def encode_literal(w: Writer, value: Literal) -> None:
     """The one literal codec: chain operations, snapshots and sealed columns."""
-    if isinstance(value, int):
-        w.u8(0)
-        w.i64(value)
-    else:
-        w.u8(1)
-        w.str_(value)
+    try:
+        w.raw((_int_literal if isinstance(value, int) else _text_literal)(value))
+    except struct.error:
+        raise ValueError(f"i64 out of range: {value}") from None
 
 
 def decode_literal(r: Reader) -> Literal:
@@ -619,7 +639,6 @@ def build_ledger(
 BAD_GENESIS = "bad_genesis"
 ORDER_GAP = "order_gap"
 PARENT_MISMATCH = "parent_mismatch"
-TXSET_MISMATCH = "txset_mismatch"
 # Replay-layer reasons (sqlvm.verify_and_apply):
 BAD_SIGNATURE = "bad_signature"
 STATE_MISMATCH = "state_mismatch"
@@ -647,26 +666,6 @@ class ChainCheck:
 
 
 CHAIN_OK = ChainCheck(True)
-
-
-def verify_chain(ledgers: list) -> ChainCheck:
-    """Structural verification of an in-memory chain starting at genesis."""
-    if not ledgers:
-        raise ValueError("cannot verify an empty chain")
-    for i, ledger in enumerate(ledgers):
-        header = ledger.header
-        if i == 0:
-            if header.seq != 0 or header.parent_hash != ZERO_HASH:
-                return ChainCheck(False, 0, BAD_GENESIS)
-        else:
-            prev = ledgers[i - 1].header
-            if header.seq != prev.seq + 1:
-                return ChainCheck(False, i, ORDER_GAP)
-            if header.parent_hash != prev.hash():
-                return ChainCheck(False, i, PARENT_MISMATCH)
-        if hash32(_encode_tx_list(ledger.txs)) != header.tx_set_hash:
-            return ChainCheck(False, i, TXSET_MISMATCH)
-    return CHAIN_OK
 
 
 # ---------------------------------------------------------------------------

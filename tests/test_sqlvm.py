@@ -1,6 +1,7 @@
 """Deterministic replay: apply semantics, state hashing, overlays, checkpoints."""
 
 import hashlib
+import random
 
 import pytest
 
@@ -32,6 +33,7 @@ from chainlog.sqlvm import (
     commit_pending,
     deserialize_store,
     latest_checkpoint_path,
+    load_snapshot,
     make_checkpoint,
     query_select,
     read_checkpoint_file,
@@ -45,6 +47,7 @@ from chainlog.sqlvm import (
 from chainlog.signing import account_keypair
 
 from conftest import account, make_tx, random_workload
+from reference_encoding import reference_snapshot, reference_state_hash
 from reference_executor import RefExecutor, replay_reference, store_abstract
 
 ALICE = account("alice")
@@ -389,7 +392,10 @@ def test_query_select_errors():
     assert len(query_select(store, "inv", (), BOB_ID)) == 1
 
 
-def test_query_select_matches_reference(rng):
+def test_query_select_matches_reference():
+    # Single- and multi-column predicates, also after an overlay rollback that
+    # re-inserts deleted rows; results stay in ascending row_id order.
+    reordered = 0
     for trial in range(10):
         workload = random_workload(seed=300 + trial, count=40)
         store = TableStore()
@@ -397,11 +403,32 @@ def test_query_select_matches_reference(rng):
         for kp, seq, op in workload:
             apply_op(store, make_tx(kp, seq, op))
             ref.apply(AccountId.from_public_key(kp.public_key), seq, op)
-        for name, t in store.tables.items():
-            owner = t.owner
-            got = query_select(store, name, (), owner)
-            want = ref.select(owner.hex, name, ())
-            assert [(r.row_id, r.values) for r in got] == want
+        owners = {AccountId.from_public_key(kp.public_key): kp for kp, _, _ in workload}
+        begin_pending(store)
+        for name, t in sorted(store.tables.items()):
+            if t.rows:
+                col = t.columns[0][0]
+                seq = store.account_seq.get(t.owner, 0) + 1
+                delete = Delete(name, ((col, t.rows[min(t.rows)][col]),))
+                assert apply_op(store, make_tx(owners[t.owner], seq, delete)).ok
+        rollback_pending(store)
+        reordered += any(list(t.rows) != sorted(t.rows) for t in store.tables.values())
+        pick = random.Random(trial)
+        for name, t in sorted(store.tables.items()):
+            wheres = [()]
+            for rid, cells in sorted(t.rows.items()):
+                cols = sorted(cells)
+                one = pick.choice(cols)
+                wheres.append(((one, cells[one]),))
+                wheres.append(tuple((c, cells[c]) for c in pick.sample(cols, len(cols))))
+            col, col_type = t.columns[0]
+            wheres.append(((col, 10_000 if col_type is ColumnType.INT else "absent"),))
+            for where in wheres:
+                got = query_select(store, name, where, t.owner)
+                ids = [r.row_id for r in got]
+                assert ids == sorted(ids)
+                assert [(r.row_id, r.values) for r in got] == ref.select(t.owner.hex, name, where)
+    assert reordered  # some rollback did leave rows out of dict order
 
 
 def test_checkpoint_round_trip(tmp_path):
@@ -470,3 +497,105 @@ def test_checkpoint_resume_equals_full_replay():
     full = replay_chain(chain)
     assert serialize_store(resumed) == serialize_store(full)
     assert state_hash(resumed) == chain[-1].header.state_hash
+
+
+# ---------------------------------------------------------------------------
+# Canonical state bytes
+# ---------------------------------------------------------------------------
+
+I64_MIN, I64_MAX = -(1 << 63), (1 << 63) - 1
+GOLDEN_STATE_HASH = "7d7a749923cccaa6bf936a17aa97bb463af6cbc784f53c22f1f41c1ec9a1605a"
+GOLDEN_SNAPSHOT_SHA256 = "18c621bf1d6d7b0716531f2b22701e0c897c6a47c2821451724521e7b1afe9e2"
+
+
+def _golden_store():
+    """Two tables, grants (one revoked), deleted rows, non-ASCII text, i64 bounds."""
+    store = TableStore()
+    carol = AccountId.from_public_key(account("carol").public_key)
+    steps = [
+        (ALICE, CreateTable("inv", (("qty", ColumnType.INT), ("name", ColumnType.TEXT), ("note", ColumnType.TEXT)))),
+        (ALICE, Insert("inv", {"qty": I64_MIN, "name": "bolt", "note": "größe"})),
+        (ALICE, Insert("inv", {"qty": I64_MAX, "name": "nut", "note": "日本語"})),
+        (ALICE, Insert("inv", {"qty": 0, "name": "", "note": "🦀 crab"})),
+        (ALICE, Insert("inv", {"qty": -1, "name": "washer", "note": "x"})),
+        (ALICE, Grant("inv", BOB_ID, frozenset({Perm.SELECT, Perm.INSERT}))),
+        (ALICE, Grant("inv", carol, frozenset(Perm))),
+        (ALICE, Grant("inv", carol, frozenset())),
+        (BOB, Insert("inv", {"qty": 7, "name": "ñandú", "note": "bob"})),
+        (ALICE, Delete("inv", (("name", "nut"),))),
+        (ALICE, Update("inv", (("qty", -1),), {"note": "Ωmega"})),
+        (BOB, CreateTable("zeta", (("k", ColumnType.INT), ("a_text", ColumnType.TEXT)))),
+        (BOB, Insert("zeta", {"k": 1, "a_text": "é"})),
+        (BOB, Insert("zeta", {"k": 2, "a_text": "e"})),
+        (BOB, Insert("zeta", {"k": 3, "a_text": "ë"})),
+        (BOB, Delete("zeta", (("k", 1),))),
+        (BOB, Grant("zeta", ALICE_ID, frozenset({Perm.DELETE}))),
+    ]
+    seqs = {}
+    for kp, op in steps:
+        seqs[kp.public_key] = seqs.get(kp.public_key, 0) + 1
+        assert apply_op(store, make_tx(kp, seqs[kp.public_key], op)).ok, op
+    store.applied_ledger_seq = 41
+    return store
+
+
+def test_state_bytes_golden():
+    # Digests pinned from the original Writer-based encoder; any drift in the
+    # canonical layout changes every chain's state hashes.
+    store = _golden_store()
+    assert state_hash(store).hex() == GOLDEN_STATE_HASH
+    assert hashlib.sha256(serialize_store(store)).hexdigest() == GOLDEN_SNAPSHOT_SHA256
+    assert state_hash(deserialize_store(serialize_store(store))) == state_hash(store)
+
+
+def test_state_bytes_match_reference_encoder():
+    # Seeded workloads, also after an overlay rollback that re-inserts rows
+    # out of dict order: bytes equal the naive encoder's at every step.
+    for trial in range(15):
+        store = TableStore()
+        for kp, seq, op in random_workload(seed=700 + trial, count=40):
+            apply_op(store, make_tx(kp, seq, op))
+            assert serialize_store(store) == reference_snapshot(store)
+        assert state_hash(store) == reference_state_hash(store)
+        begin_pending(store)
+        for kp, seq, op in random_workload(seed=700 + trial, count=60)[40:]:
+            apply_op(store, make_tx(kp, seq, op))
+        rollback_pending(store)
+        store.applied_ledger_seq = trial
+        assert serialize_store(store) == reference_snapshot(store)
+        assert state_hash(store) == reference_state_hash(store)
+
+
+def test_state_encoding_range_checks_still_raise():
+    store = _seed_store()
+    store.tables["inv"].rows[1]["qty"] = 1 << 63
+    with pytest.raises(ValueError):
+        state_hash(store)
+    store.tables["inv"].rows[1]["qty"] = 5
+    store.tables["inv"].next_row_id = 1 << 64
+    with pytest.raises(ValueError):
+        serialize_store(store)
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        lambda t: t.rows[1].pop("qty"),  # a column missing
+        lambda t: t.rows[1].update(v="a"),  # a cell that is no column
+        lambda t: t.rows[1].update(qty="five"),  # TEXT in an INT column
+        lambda t: t.rows[1].update(name=5),  # INT in a TEXT column
+        lambda t: setattr(t, "columns", t.columns + (("qty", ColumnType.INT),)),
+    ],
+    ids=["missing", "extra", "text_in_int", "int_in_text", "duplicate_column"],
+)
+def test_snapshot_rows_must_hold_exactly_typed_columns(mutate):
+    # Such a row would make a later Update/SELECT on the column raise instead
+    # of giving a deterministic Rejected; no apply_op can produce one.
+    store = _seed_store()
+    store.applied_ledger_seq = 3
+    mutate(store.tables["inv"])
+    blob = reference_snapshot(store)
+    with pytest.raises(CodecError):
+        deserialize_store(blob)
+    with pytest.raises(CorruptCheckpointError):
+        load_snapshot(3, blob)
