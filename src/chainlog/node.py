@@ -5,7 +5,9 @@ reads against the last committed ledger, and a combined endpoint that routes
 by operation kind. All committed-state mutation goes through apply_ledger of
 a fully validated ledger; optimistic apply happens in a pending overlay that
 is rolled back before every commit, so the committed store never contains
-unvalidated data.
+unvalidated data. The overlay is a snapshot of the committed store, and so
+are the read store and the build and sync scratch stores: clones share row
+dicts, so each costs a copy of the row maps, not of the rows.
 
 Wire behavior per tick: heartbeat to known peers, then (if voting) advance
 the consensus round machine. Nodes that fall behind catch up by requesting

@@ -3,8 +3,22 @@
 All mutation is funneled through ``apply_op``/``apply_ledger`` so that every
 replica, replaying the same chain, lands on the same canonical state hash.
 Rejections are total and deterministic (never exceptions), because replicas
-must agree on outcomes, not just on successes. A ``PendingOverlay`` supports
-optimistic apply with exact rollback for the consensus path.
+must agree on outcomes, not just on successes.
+
+Rows are never mutated in place: ``Update`` stores a new dict for each
+matched row. So ``TableStore.clone`` is a cheap snapshot: each table copies
+its row map and grants but shares the row dicts. The ``PendingOverlay`` of
+the consensus path is such a snapshot: ``begin_pending`` clones the base,
+ops apply to the store in place, and ``rollback_pending`` puts the clone's
+tables and account seqs back.
+
+Each table shares with its clones one cache of ``row_id -> (row dict, row
+bytes)``, filled lazily by the state encoding and evicted by ``Delete``. An
+entry is trusted only while its dict *is* the row's current dict: a row that
+was replaced, in this store or in a clone that shares the cache, is
+re-encoded, and since the entry holds its dict alive no other dict can take
+its identity. That also keeps the cache right for tables built directly
+rather than through ``apply_op``.
 
 A WHERE (conjunctive equality) is one pass over the table's rows: the first
 predicate is tested on every row, the rest only on the rows that pass it, and
@@ -13,13 +27,16 @@ several stores (committed, read snapshot, sync and audit copies), and
 per-store index copies cost +36% peak RSS on the 10k-row ``bigtable``
 benchmark for a read path that is already well under a millisecond there.
 
-The state encoding behind ``state_hash`` and ``serialize_store`` appends to
-one ``bytearray`` and is byte-identical to ``codec``'s canonical layout
-(big-endian fixed-width integers, u32-prefixed UTF-8); literals come from
-``ledger``'s literal codec. Every row holds exactly its table's columns, each
-of its type: ``apply_op`` keeps that and ``deserialize_store`` rejects any
-snapshot that breaks it, so the encoder walks each table's sorted column
-names instead of sorting every row.
+The state encoding behind ``state_hash`` and ``serialize_store`` joins the
+cached row bytes into one ``bytearray`` and is byte-identical to ``codec``'s
+canonical layout (big-endian fixed-width integers, u32-prefixed UTF-8);
+literals come from ``ledger``'s literal codec. Every row holds exactly its
+table's columns, each of its type: ``apply_op`` keeps that and
+``deserialize_store`` rejects any snapshot that breaks it, so the encoder
+walks each table's sorted column names instead of sorting every row. Every
+row_id is also below its table's ``next_row_id`` (``deserialize_store``
+checks that too), so an INSERT never overwrites a row and a reachable store
+keeps its rows in row_id order, where the sorts by row_id are linear.
 
 Chain verification is two-layered: ``ledger`` checks storage, this module
 checks replay. Every ledger run a node trusts goes through
@@ -125,7 +142,7 @@ class Row:
 class Table:
     """One table: schema, ownership, grants, and rows keyed by row_id."""
 
-    __slots__ = ("name", "columns", "owner", "grants", "rows", "next_row_id", "_types")
+    __slots__ = ("name", "columns", "owner", "grants", "rows", "next_row_id", "_types", "_encoded")
 
     def __init__(
         self,
@@ -143,6 +160,7 @@ class Table:
         self.rows = rows if rows is not None else {}
         self.next_row_id = next_row_id
         self._types = dict(columns)
+        self._encoded: dict = {}  # row_id -> (row dict, row bytes), shared by clones
 
     def column_type(self, column: str) -> Optional[ColumnType]:
         return self._types.get(column)
@@ -153,14 +171,10 @@ class Table:
         return perm in self.grants.get(account, ())
 
     def clone(self) -> "Table":
-        return Table(
-            self.name,
-            self.columns,
-            self.owner,
-            dict(self.grants),
-            {rid: dict(vals) for rid, vals in self.rows.items()},
-            self.next_row_id,
-        )
+        # Row dicts are never mutated in place, so they are shared.
+        out = Table(self.name, self.columns, self.owner, dict(self.grants), dict(self.rows), self.next_row_id)
+        out._encoded = self._encoded
+        return out
 
 
 class TableStore:
@@ -184,12 +198,11 @@ class TableStore:
 
 @dataclass
 class PendingOverlay:
-    """Tentative ops applied in place, with an inverse log for exact rollback."""
+    """Tentative ops applied to ``store`` in place; ``base`` is the snapshot rollback restores."""
 
     store: TableStore
-    base_state_hash: bytes
+    base: TableStore
     tx_ids: list = field(default_factory=list)
-    _undo: list = field(default_factory=list)
 
 
 # ---------------------------------------------------------------------------
@@ -230,13 +243,17 @@ def _encode_content(buf: bytearray, store: TableStore) -> bytearray:
             # Every row holds exactly its table's columns (apply_op and
             # deserialize_store keep that), so cells follow the sorted names.
             cells = [(col, _prefixed(col), literal_encoder(t._types[col])) for col in sorted(t._types)]
-            rows = t.rows
+            rows, cache = t.rows, t._encoded
             for row_id in sorted(rows):
                 vals = rows[row_id]
-                buf += _ROW_HEAD.pack(row_id, len(cells))
-                for col, col_bytes, encode in cells:
-                    buf += col_bytes
-                    buf += encode(vals[col])
+                hit = cache.get(row_id)
+                if hit is None or hit[0] is not vals:
+                    row = bytearray(_ROW_HEAD.pack(row_id, len(cells)))
+                    for col, col_bytes, encode in cells:
+                        row += col_bytes
+                        row += encode(vals[col])
+                    hit = cache[row_id] = (vals, bytes(row))
+                buf += hit[1]
         buf += _U32.pack(len(store.account_seq))
         for account in sorted(store.account_seq, key=lambda a: a.id):
             buf += account.id
@@ -312,6 +329,9 @@ def deserialize_store(data: bytes) -> TableStore:
                     raise CodecError(f"row {row_id} of {name!r}: {col} holds a literal of the wrong type")
                 vals[col] = lit
             rows[row_id] = vals
+        if rows and next_row_id <= next(reversed(rows)):
+            # An INSERT would then overwrite a stored row.
+            raise CodecError(f"table {name!r}: next_row_id {next_row_id} is not above its last row")
         store.tables[name] = Table(name, tuple(columns), owner, grants, rows, next_row_id)
     prev_acct = None
     for _ in range(r.u32()):
@@ -339,8 +359,8 @@ def _check_where(table: Table, where: tuple) -> Optional[str]:
 
 def _match_rows(table: Table, where: tuple) -> list:
     # Conjunctive equality in one pass over the rows; empty where matches
-    # every row. Ids are sorted after matching because a rollback re-inserts
-    # rows out of row_id order.
+    # every row. A reachable store keeps its rows in row_id order, so the
+    # sort is linear; it still orders a table built with rows out of order.
     if not where:
         return sorted(table.rows)
     (col, lit), rest = where[0], where[1:]
@@ -352,7 +372,7 @@ def _match_rows(table: Table, where: tuple) -> list:
     return out
 
 
-def _apply_checked(store: TableStore, tx: Transaction, undo: Optional[list]) -> ApplyResult:
+def _apply_checked(store: TableStore, tx: Transaction) -> ApplyResult:
     op = tx.op
     account = tx.account
 
@@ -360,8 +380,6 @@ def _apply_checked(store: TableStore, tx: Transaction, undo: Optional[list]) -> 
         if op.table in store.tables:
             return Rejected(REJECT_TABLE_EXISTS)
         store.tables[op.table] = Table(op.table, op.columns, account)
-        if undo is not None:
-            undo.append(lambda: store.tables.pop(op.table))
         return Applied()
 
     table = store.tables.get(op.table)
@@ -372,27 +390,17 @@ def _apply_checked(store: TableStore, tx: Transaction, undo: Optional[list]) -> 
         if account != table.owner:
             return Rejected(REJECT_PERMISSION_DENIED)
         store.tables.pop(op.table)
-        if undo is not None:
-            undo.append(lambda: store.tables.__setitem__(op.table, table))
         return Applied()
 
     if isinstance(op, Grant):
         if account != table.owner:
             return Rejected(REJECT_PERMISSION_DENIED)
-        had, old = (op.grantee in table.grants), table.grants.get(op.grantee)
         if op.perms:
             table.grants[op.grantee] = frozenset(op.perms)
         else:
             # Empty grant is revocation; dropping the entry keeps the
             # canonical encoding free of dead grantees.
             table.grants.pop(op.grantee, None)
-        if undo is not None:
-            def undo_grant() -> None:
-                if had:
-                    table.grants[op.grantee] = old
-                else:
-                    table.grants.pop(op.grantee, None)
-            undo.append(undo_grant)
         return Applied()
 
     if not table.holds_perm(account, _OP_PERM[type(op)]):
@@ -405,14 +413,8 @@ def _apply_checked(store: TableStore, tx: Transaction, undo: Optional[list]) -> 
         for col, lit in op.values.items():
             if not literal_matches(lit, table.column_type(col)):
                 return Rejected(REJECT_TYPE_MISMATCH)
-        row_id = table.next_row_id
+        table.rows[table.next_row_id] = dict(op.values)
         table.next_row_id += 1
-        table.rows[row_id] = dict(op.values)
-        if undo is not None:
-            def undo_insert() -> None:
-                table.rows.pop(row_id)
-                table.next_row_id = row_id
-            undo.append(undo_insert)
         return Applied(rows_changed=1)
 
     if isinstance(op, Update):
@@ -426,17 +428,9 @@ def _apply_checked(store: TableStore, tx: Transaction, undo: Optional[list]) -> 
         if reason is not None:
             return Rejected(reason)
         matched = _match_rows(table, op.where)
-        if undo is not None:
-            saved = [
-                (rid, {c: table.rows[rid][c] for c in op.set_values})
-                for rid in matched
-            ]
-            def undo_update() -> None:
-                for rid, old_vals in saved:
-                    table.rows[rid].update(old_vals)
-            undo.append(undo_update)
+        rows = table.rows
         for rid in matched:
-            table.rows[rid].update(op.set_values)
+            rows[rid] = {**rows[rid], **op.set_values}  # a new dict: clones share the old one
         return Applied(rows_changed=len(matched))
 
     assert isinstance(op, Delete)
@@ -444,13 +438,10 @@ def _apply_checked(store: TableStore, tx: Transaction, undo: Optional[list]) -> 
     if reason is not None:
         return Rejected(reason)
     matched = _match_rows(table, op.where)
-    removed = [(rid, table.rows.pop(rid)) for rid in matched]
-    if undo is not None:
-        def undo_delete() -> None:
-            for rid, vals in removed:
-                table.rows[rid] = vals
-        undo.append(undo_delete)
-    return Applied(rows_changed=len(removed))
+    for rid in matched:
+        del table.rows[rid]
+        table._encoded.pop(rid, None)
+    return Applied(rows_changed=len(matched))
 
 
 def apply_op(store: TableStore, tx: Transaction) -> ApplyResult:
@@ -459,21 +450,12 @@ def apply_op(store: TableStore, tx: Transaction) -> ApplyResult:
     A rejected transaction leaves the store byte-identical, including the
     account sequence (rejects do not consume a seq).
     """
-    undo = store._overlay._undo if store._overlay is not None else None
     expected = store.account_seq.get(tx.account, 0) + 1
     if tx.seq != expected:
         return Rejected(REJECT_BAD_SEQ)
-    result = _apply_checked(store, tx, undo)
+    result = _apply_checked(store, tx)
     if result.ok:
-        had_entry = tx.account in store.account_seq
         store.account_seq[tx.account] = tx.seq
-        if undo is not None:
-            def undo_seq() -> None:
-                if had_entry:
-                    store.account_seq[tx.account] = tx.seq - 1
-                else:
-                    store.account_seq.pop(tx.account)
-            undo.append(undo_seq)
         if store._overlay is not None:
             store._overlay.tx_ids.append(tx.tx_id)
     return result
@@ -561,7 +543,7 @@ def replay_chain(ledgers: list, check_state: bool = True) -> TableStore:
 def begin_pending(store: TableStore) -> PendingOverlay:
     if store._overlay is not None:
         raise OverlayError("an overlay is already active")
-    overlay = PendingOverlay(store, state_hash(store))
+    overlay = PendingOverlay(store, store.clone())
     store._overlay = overlay
     return overlay
 
@@ -576,16 +558,13 @@ def commit_pending(store: TableStore) -> list:
 
 
 def rollback_pending(store: TableStore) -> None:
-    """Undo every tentative op; the store returns to base_state_hash exactly."""
+    """Drop every tentative op: the store gets the base snapshot's content back."""
     overlay = store._overlay
     if overlay is None:
         raise OverlayError("no active overlay to roll back")
-    for undo in reversed(overlay._undo):
-        undo()
+    store.tables = overlay.base.tables
+    store.account_seq = overlay.base.account_seq
     store._overlay = None
-    restored = state_hash(store)
-    if restored != overlay.base_state_hash:
-        raise AssertionError("rollback failed to restore the base state")
 
 
 # ---------------------------------------------------------------------------

@@ -146,6 +146,43 @@ def test_five_nodes_commit_and_agree():
     assert all(r >= 0 for r in committer.commit_rounds.values())
 
 
+def test_state_hash_calls_per_committed_ledger(monkeypatch):
+    # Counts only: the overlay is a snapshot, so begin/rollback hash nothing,
+    # and a committed ledger costs each node at most two state hashes.
+    net, nodes = build_cluster(5, seed=23)
+    kp = account("counter")
+    run_until_committed(net, nodes, [submit(net, nodes[0], kp, 1, CreateTable("inv", SCHEMA)).tx_id])
+    calls = {"state_hash": 0, "inside_begin_rollback": 0, "begin": 0, "rollback": 0}
+    real_hash = sqlvm.state_hash
+
+    def counting_hash(store):
+        calls["state_hash"] += 1
+        return real_hash(store)
+
+    def counting(name, real):
+        def wrapper(store):
+            calls[name] += 1
+            before = calls["state_hash"]
+            out = real(store)
+            calls["inside_begin_rollback"] += calls["state_hash"] - before
+            return out
+        return wrapper
+
+    monkeypatch.setattr(sqlvm, "state_hash", counting_hash)
+    monkeypatch.setattr(sqlvm, "begin_pending", counting("begin", sqlvm.begin_pending))
+    monkeypatch.setattr(sqlvm, "rollback_pending", counting("rollback", sqlvm.rollback_pending))
+    start = nodes[0].tip.seq
+    for seq in range(2, 8):
+        tx = submit(net, nodes[seq % 5], kp, seq, Insert("inv", {"qty": seq, "name": "bolt"}))
+        run_until_committed(net, nodes, [tx.tx_id])
+    run_until_tip(net, nodes, max(n.tip.seq for n in nodes))
+    ledgers = min(n.tip.seq for n in nodes) - start
+    assert ledgers >= 6
+    assert calls["begin"] >= 5 * 6 and calls["rollback"] >= 5 * 6
+    assert calls["inside_begin_rollback"] == 0
+    assert calls["state_hash"] <= 2 * 5 * ledgers, (calls, ledgers)
+
+
 def test_rejected_tx_commits_as_noop():
     net, nodes = build_cluster(3, seed=7)
     kp = account("writer")

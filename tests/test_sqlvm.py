@@ -26,6 +26,7 @@ from chainlog.sqlvm import (
     OverlayError,
     QueryError,
     Rejected,
+    Table,
     TableStore,
     apply_ledger,
     apply_op,
@@ -393,8 +394,9 @@ def test_query_select_errors():
 
 
 def test_query_select_matches_reference():
-    # Single- and multi-column predicates, also after an overlay rollback that
-    # re-inserts deleted rows; results stay in ascending row_id order.
+    # Single- and multi-column predicates on tables rebuilt with their rows
+    # out of row_id order (no apply or rollback path leaves them so): results
+    # still come in ascending row_id order and match the reference executor.
     reordered = 0
     for trial in range(10):
         workload = random_workload(seed=300 + trial, count=40)
@@ -403,16 +405,10 @@ def test_query_select_matches_reference():
         for kp, seq, op in workload:
             apply_op(store, make_tx(kp, seq, op))
             ref.apply(AccountId.from_public_key(kp.public_key), seq, op)
-        owners = {AccountId.from_public_key(kp.public_key): kp for kp, _, _ in workload}
-        begin_pending(store)
         for name, t in sorted(store.tables.items()):
-            if t.rows:
-                col = t.columns[0][0]
-                seq = store.account_seq.get(t.owner, 0) + 1
-                delete = Delete(name, ((col, t.rows[min(t.rows)][col]),))
-                assert apply_op(store, make_tx(owners[t.owner], seq, delete)).ok
-        rollback_pending(store)
-        reordered += any(list(t.rows) != sorted(t.rows) for t in store.tables.values())
+            rows = dict(reversed(list(t.rows.items())))
+            store.tables[name] = Table(name, t.columns, t.owner, t.grants, rows, t.next_row_id)
+            reordered += list(rows) != sorted(rows)
         pick = random.Random(trial)
         for name, t in sorted(store.tables.items()):
             wheres = [()]
@@ -428,7 +424,7 @@ def test_query_select_matches_reference():
                 ids = [r.row_id for r in got]
                 assert ids == sorted(ids)
                 assert [(r.row_id, r.values) for r in got] == ref.select(t.owner.hex, name, where)
-    assert reordered  # some rollback did leave rows out of dict order
+    assert reordered  # some table did hold its rows out of row_id order
 
 
 def test_checkpoint_round_trip(tmp_path):
@@ -549,8 +545,8 @@ def test_state_bytes_golden():
 
 
 def test_state_bytes_match_reference_encoder():
-    # Seeded workloads, also after an overlay rollback that re-inserts rows
-    # out of dict order: bytes equal the naive encoder's at every step.
+    # Seeded workloads, also after an overlay rollback: bytes equal the naive
+    # encoder's at every step.
     for trial in range(15):
         store = TableStore()
         for kp, seq, op in random_workload(seed=700 + trial, count=40):
@@ -599,3 +595,90 @@ def test_snapshot_rows_must_hold_exactly_typed_columns(mutate):
         deserialize_store(blob)
     with pytest.raises(CorruptCheckpointError):
         load_snapshot(3, blob)
+
+
+@pytest.mark.parametrize("next_row_id", [0, 1], ids=["zero", "last_row"])
+def test_snapshot_next_row_id_must_be_above_every_row(next_row_id):
+    # Loading such a snapshot would let the next INSERT overwrite row 1.
+    store = _seed_store()
+    store.applied_ledger_seq = 3
+    store.tables["inv"].next_row_id = next_row_id
+    blob = reference_snapshot(store)
+    with pytest.raises(CodecError):
+        deserialize_store(blob)
+    with pytest.raises(CorruptCheckpointError):
+        load_snapshot(3, blob)
+
+
+# ---------------------------------------------------------------------------
+# Shared rows and the row encoding cache
+# ---------------------------------------------------------------------------
+
+
+def _isolation_store():
+    """alice's table with two rows and a SELECT grant to bob; alice at seq 4."""
+    store = _seed_store()
+    assert apply_op(store, make_tx(ALICE, 3, Insert("inv", {"qty": 6, "name": "nut"}))).ok
+    assert apply_op(store, make_tx(ALICE, 4, Grant("inv", BOB_ID, frozenset({Perm.SELECT})))).ok
+    return store
+
+
+@pytest.mark.parametrize("mutated", ["clone", "source"])
+@pytest.mark.parametrize(
+    "signer, seq, op",
+    [
+        (BOB, 1, CreateTable("other", SCHEMA)),
+        (ALICE, 5, DropTable("inv")),
+        (ALICE, 5, Grant("inv", BOB_ID, frozenset({Perm.SELECT, Perm.UPDATE}))),
+        (ALICE, 5, Grant("inv", BOB_ID, frozenset())),
+        (ALICE, 5, Insert("inv", {"qty": 8, "name": "pin"})),
+        (ALICE, 5, Update("inv", (("qty", 5),), {"name": "screw"})),
+        (ALICE, 5, Delete("inv", (("qty", 5),))),
+    ],
+    ids=["create", "drop", "grant", "revoke", "insert", "update", "delete"],
+)
+def test_clone_isolation(mutated, signer, seq, op):
+    # Clones share row dicts and the row cache; an op on one side must leave
+    # the other's bytes as they were, by the cache and by the naive encoder.
+    source = _isolation_store()
+    state_hash(source)  # fill the shared cache first
+    copy = source.clone()
+    target, other = (copy, source) if mutated == "clone" else (source, copy)
+    before = serialize_store(other)
+    assert apply_op(target, make_tx(signer, seq, op)).ok
+    assert serialize_store(target) == reference_snapshot(target) != before
+    assert serialize_store(other) == reference_snapshot(other) == before
+
+
+def test_row_cache_stays_coherent_across_clones_and_overlays():
+    # Two lineages walk one op list at their own pace, cloning, overlaying
+    # and hashing at random; they share row caches through every clone.
+    for trial in range(10):
+        pick = random.Random(trial)
+        txs = [make_tx(kp, seq, op) for kp, seq, op in random_workload(seed=1100 + trial, count=150)]
+        lineages = [[TableStore(), 0], [TableStore(), 0]]
+        for _ in range(60):
+            me, you = pick.sample(lineages, 2)
+            store, at = me
+            roll = pick.random()
+            if roll < 0.2:
+                you[0], you[1] = store.clone(), at
+            elif roll < 0.7:
+                overlay = roll < 0.5
+                if overlay:
+                    begin_pending(store)
+                step = pick.randint(1, 6)
+                for tx in txs[at:at + step]:
+                    apply_op(store, tx)
+                if overlay:
+                    assert state_hash(store) == reference_state_hash(store)
+                    if pick.random() < 0.5:
+                        rollback_pending(store)
+                        step = 0
+                    else:
+                        commit_pending(store)
+                me[1] = min(at + step, len(txs))
+            else:
+                assert serialize_store(store) == reference_snapshot(store)
+            for each, _ in lineages:
+                assert state_hash(each) == reference_state_hash(each)
