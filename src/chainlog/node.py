@@ -2,12 +2,12 @@
 
 A node exposes three access paths: direct chain writes (submit), fast local
 reads against the last committed ledger, and a combined endpoint that routes
-by operation kind. All committed-state mutation goes through apply_ledger of
-a fully validated ledger; optimistic apply happens in a pending overlay that
-is rolled back before every commit, so the committed store never contains
-unvalidated data. The overlay is a snapshot of the committed store, and so
-are the read store and the build and sync scratch stores: clones share row
-dicts, so each costs a copy of the row maps, not of the rows.
+by operation kind. Each agreed tx applies once per node: the ledger a node
+validates is built in a pending overlay on its committed store, and commit
+keeps that overlay. A ledger the node did not build arrives through sync,
+which replaces the store. Reads use a snapshot taken at each commit, so they
+never see a built but unvalidated ledger. Snapshots share row dicts, so each
+costs a copy of the row maps, not of the rows.
 
 Wire behavior per tick: heartbeat to known peers, then (if voting) advance
 the consensus round machine. Nodes that fall behind catch up by requesting
@@ -29,7 +29,7 @@ from . import netsim
 from . import signing
 from . import sqlvm
 from .codec import CodecError
-from .consensus import ConsensusConfig, ConsensusEngine, ConsensusPhase, Unl
+from .consensus import ConsensusConfig, ConsensusEngine, Unl
 from .ledger import AccountId, Ledger, Transaction
 from .netsim import Info, LedgerData, LedgerRequest
 
@@ -287,13 +287,7 @@ class Node:
         for peer in self._heartbeat_targets():
             out.append((peer, frame))
         if self.voting:
-            prev_phase = self.engine.phase
             step = self.engine.tick(now, proposable=self._proposable_ids())
-            if prev_phase is ConsensusPhase.OPEN and self.engine.phase is ConsensusPhase.ESTABLISH:
-                self._begin_optimistic()
-            if self.engine.phase is ConsensusPhase.ESTABLISH and not self.engine.candidate:
-                # Consensus fell back to the empty set: the tentative ops lost.
-                self._rollback_optimistic()
             out.extend(self._emit(step))
             out.extend(self._try_commit())
         return out
@@ -310,7 +304,7 @@ class Node:
 
     def on_revive(self, now: int) -> List[Tuple[str, bytes]]:
         """Restart from disk; stay non-voting until a peer confirms our tip."""
-        self._rollback_optimistic()
+        # Without a data dir the engine keeps its accepted ledger, so the store keeps its overlay.
         self._now = now
         self.started_at = now
         self.voting = False
@@ -479,14 +473,17 @@ class Node:
         return ok
 
     def _build_ledger(self, txs: tuple, _now: int) -> Optional[Ledger]:
-        scratch = self._read_store.clone()
+        # The overlay stays open while the engine holds the accepted ledger:
+        # _commit keeps it, and the engine leaves ACCEPTED otherwise only
+        # through reset_to_seq, whose callers (sync, restart) replace the store.
+        sqlvm.begin_pending(self.store)
         for tx in sorted(txs, key=Transaction.sort_key):
-            sqlvm.apply_op(scratch, tx)
+            sqlvm.apply_op(self.store, tx)
         # close_time must depend only on agreed data: validators can accept the
         # same tx set on different ticks, and a clock-derived value would split
         # the validation vote across otherwise identical headers.
         close_time = self.tip.close_time + self.config.consensus.round_interval_ms
-        return lgr.build_ledger(self.tip, txs, sqlvm.state_hash(scratch), close_time)
+        return lgr.build_ledger(self.tip, txs, sqlvm.state_hash(self.store), close_time)
 
     def _emit(self, step: cns.StepOutput) -> List[Tuple[str, bytes]]:
         out: List[Tuple[str, bytes]] = []
@@ -527,25 +524,9 @@ class Node:
         frame = netsim.pack_message(req)
         return [(peer, frame) for peer in sorted(self.config.unl.trusted)]
 
-    def _begin_optimistic(self) -> None:
-        if self.store._overlay is not None:
-            return
-        sqlvm.begin_pending(self.store)
-        txs = [
-            self.engine.open_txs[i]
-            for i in self.engine.candidate
-            if i in self.engine.open_txs
-        ]
-        for tx in sorted(txs, key=Transaction.sort_key):
-            sqlvm.apply_op(self.store, tx)
-
-    def _rollback_optimistic(self) -> None:
-        if self.store._overlay is not None:
-            sqlvm.rollback_pending(self.store)
-
     def _commit(self, ledger: Ledger) -> None:
-        self._rollback_optimistic()
-        self._index_outcomes(ledger, sqlvm.apply_ledger(self.store, ledger))
+        """Commit ``ledger``, which this node built: its overlay already holds it."""
+        self._index_outcomes(ledger, sqlvm.commit_pending(self.store, ledger.seq))
         self._read_store = self.store.clone()
         self.tip = ledger.header
         self.chain_tail[ledger.seq] = ledger

@@ -7,10 +7,10 @@ must agree on outcomes, not just on successes.
 
 Rows are never mutated in place: ``Update`` stores a new dict for each
 matched row. So ``TableStore.clone`` is a cheap snapshot: each table copies
-its row map and grants but shares the row dicts. The ``PendingOverlay`` of
-the consensus path is such a snapshot: ``begin_pending`` clones the base,
-ops apply to the store in place, and ``rollback_pending`` puts the clone's
-tables and account seqs back.
+its row map and grants but shares the row dicts. A node builds each ledger
+in a ``PendingOverlay``: ``begin_pending`` clones the base, ops apply to the
+store in place, ``commit_pending`` keeps them and returns their results, and
+``rollback_pending`` puts the clone's tables and account seqs back.
 
 Each table shares with its clones one cache of ``row_id -> (row dict, row
 bytes)``, filled lazily by the state encoding and evicted by ``Delete``. An
@@ -202,7 +202,7 @@ class PendingOverlay:
 
     store: TableStore
     base: TableStore
-    tx_ids: list = field(default_factory=list)
+    results: list = field(default_factory=list)  # one ApplyResult per apply_op, rejects included
 
 
 # ---------------------------------------------------------------------------
@@ -450,25 +450,29 @@ def apply_op(store: TableStore, tx: Transaction) -> ApplyResult:
     A rejected transaction leaves the store byte-identical, including the
     account sequence (rejects do not consume a seq).
     """
-    expected = store.account_seq.get(tx.account, 0) + 1
-    if tx.seq != expected:
-        return Rejected(REJECT_BAD_SEQ)
-    result = _apply_checked(store, tx)
-    if result.ok:
-        store.account_seq[tx.account] = tx.seq
-        if store._overlay is not None:
-            store._overlay.tx_ids.append(tx.tx_id)
+    if tx.seq != store.account_seq.get(tx.account, 0) + 1:
+        result = Rejected(REJECT_BAD_SEQ)
+    else:
+        result = _apply_checked(store, tx)
+        if result.ok:
+            store.account_seq[tx.account] = tx.seq
+    if store._overlay is not None:
+        store._overlay.results.append(result)
     return result
+
+
+def _check_next_ledger(store: TableStore, ledger_seq: int) -> None:
+    if ledger_seq != store.applied_ledger_seq + 1:
+        raise OutOfOrderLedgerError(
+            f"ledger seq {ledger_seq}, store at {store.applied_ledger_seq}"
+        )
 
 
 def apply_ledger(store: TableStore, ledger: Ledger) -> list:
     """Apply a validated ledger's txs in canonical order; returns per-tx results."""
     if store._overlay is not None:
         raise OverlayError("cannot apply a ledger with an active overlay")
-    if ledger.seq != store.applied_ledger_seq + 1:
-        raise OutOfOrderLedgerError(
-            f"ledger seq {ledger.seq}, store at {store.applied_ledger_seq}"
-        )
+    _check_next_ledger(store, ledger.seq)
     results = [apply_op(store, tx) for tx in ledger.txs]
     store.applied_ledger_seq = ledger.seq
     return results
@@ -548,13 +552,15 @@ def begin_pending(store: TableStore) -> PendingOverlay:
     return overlay
 
 
-def commit_pending(store: TableStore) -> list:
-    """Fold tentative ops into the base; returns the tx_ids that were applied."""
+def commit_pending(store: TableStore, ledger_seq: int) -> list:
+    """Keep the tentative ops as ledger ``ledger_seq``; returns their results like apply_ledger."""
     overlay = store._overlay
     if overlay is None:
         raise OverlayError("no active overlay to commit")
+    _check_next_ledger(store, ledger_seq)
     store._overlay = None
-    return list(overlay.tx_ids)
+    store.applied_ledger_seq = ledger_seq
+    return overlay.results
 
 
 def rollback_pending(store: TableStore) -> None:

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from chainlog import sqlvm
-from chainlog.consensus import ConsensusConfig, Unl
+from chainlog.consensus import ConsensusConfig, ConsensusPhase, Unl
 from chainlog.ledger import (
     AccountId,
     ColumnType,
@@ -147,12 +147,15 @@ def test_five_nodes_commit_and_agree():
 
 
 def test_state_hash_calls_per_committed_ledger(monkeypatch):
-    # Counts only: the overlay is a snapshot, so begin/rollback hash nothing,
+    # Counts only: each node builds each ledger once, in an overlay that its
+    # commit keeps, so it applies each agreed tx once, opens one overlay and
+    # rolls back none; the overlay is a snapshot, so begin hashes nothing,
     # and a committed ledger costs each node at most two state hashes.
     net, nodes = build_cluster(5, seed=23)
     kp = account("counter")
     run_until_committed(net, nodes, [submit(net, nodes[0], kp, 1, CreateTable("inv", SCHEMA)).tx_id])
-    calls = {"state_hash": 0, "inside_begin_rollback": 0, "begin": 0, "rollback": 0}
+    calls = {"state_hash": 0, "inside_begin_rollback": 0, "begin": 0, "rollback": 0,
+             "apply_op": 0, "clone": 0}
     real_hash = sqlvm.state_hash
 
     def counting_hash(store):
@@ -160,10 +163,10 @@ def test_state_hash_calls_per_committed_ledger(monkeypatch):
         return real_hash(store)
 
     def counting(name, real):
-        def wrapper(store):
+        def wrapper(*args):
             calls[name] += 1
             before = calls["state_hash"]
-            out = real(store)
+            out = real(*args)
             calls["inside_begin_rollback"] += calls["state_hash"] - before
             return out
         return wrapper
@@ -171,14 +174,20 @@ def test_state_hash_calls_per_committed_ledger(monkeypatch):
     monkeypatch.setattr(sqlvm, "state_hash", counting_hash)
     monkeypatch.setattr(sqlvm, "begin_pending", counting("begin", sqlvm.begin_pending))
     monkeypatch.setattr(sqlvm, "rollback_pending", counting("rollback", sqlvm.rollback_pending))
+    monkeypatch.setattr(sqlvm, "apply_op", counting("apply_op", sqlvm.apply_op))
+    monkeypatch.setattr(sqlvm.TableStore, "clone", counting("clone", sqlvm.TableStore.clone))
     start = nodes[0].tip.seq
     for seq in range(2, 8):
         tx = submit(net, nodes[seq % 5], kp, seq, Insert("inv", {"qty": seq, "name": "bolt"}))
         run_until_committed(net, nodes, [tx.tx_id])
     run_until_tip(net, nodes, max(n.tip.seq for n in nodes))
-    ledgers = min(n.tip.seq for n in nodes) - start
-    assert ledgers >= 6
-    assert calls["begin"] >= 5 * 6 and calls["rollback"] >= 5 * 6
+    end = min(n.tip.seq for n in nodes)
+    ledgers = end - start
+    committed = sum(len(nodes[0].chain_tail[seq].txs) for seq in range(start + 1, end + 1))
+    assert ledgers >= 6 and committed == 6
+    assert calls["apply_op"] == 5 * committed, (calls, committed)
+    assert calls["clone"] <= 2 * 5 * ledgers, (calls, ledgers)
+    assert calls["begin"] == 5 * ledgers and calls["rollback"] == 0, (calls, ledgers)
     assert calls["inside_begin_rollback"] == 0
     assert calls["state_hash"] <= 2 * 5 * ledgers, (calls, ledgers)
 
@@ -194,6 +203,34 @@ def test_rejected_tx_commits_as_noop():
         assert not outcome.applied
         assert outcome.reason == "no_such_table"
         assert state_hash(n.store) == state_hash(sqlvm.TableStore())
+
+
+def test_mixed_ledger_outcomes_survive_restart(tmp_path):
+    # Outcomes of a live commit come from the build's overlay; a restart
+    # replays the stored blocks through apply_ledger. Both must index the
+    # same outcome for every tx of the ledger.
+    net, nodes = build_cluster(5, seed=31, data_root=tmp_path)
+    owner, other, stranger = account("owner"), account("other"), account("stranger")
+    run_until_committed(net, nodes, [submit(net, nodes[0], owner, 1, CreateTable("t", SCHEMA)).tx_id])
+    txs = [
+        submit(net, nodes[0], owner, 2, Insert("t", {"qty": 1, "name": "a"})),
+        submit(net, nodes[0], other, 1, Insert("nowhere", {"qty": 1})),
+        submit(net, nodes[0], stranger, 1, Insert("t", {"qty": 2, "name": "b"})),
+        submit(net, nodes[0], owner, 3, Insert("t", {"qty": "x", "name": "c"})),
+    ]
+    run_until_committed(net, nodes, [tx.tx_id for tx in txs])
+    outcomes = [nodes[0].committed_txs[tx.tx_id] for tx in txs]
+    assert len({o.ledger_seq for o in outcomes}) == 1
+    assert [(o.applied, o.reason) for o in outcomes] == [
+        (True, None),
+        (False, "no_such_table"),
+        (False, "permission_denied"),
+        (False, "type_mismatch"),
+    ]
+    for n in nodes:
+        before = dict(n.committed_txs)
+        n._load_from_disk()
+        assert n.committed_txs == before
 
 
 def test_submit_rules():
@@ -511,6 +548,31 @@ def test_one_dead_voter_of_five_keeps_committing():
     assert res.satisfied
     assert nodes[4].voting
     assert state_hash(nodes[4].store) == state_hash(nodes[0].store)
+
+
+def test_revived_node_commits_the_ledger_it_built():
+    # Revived without a data dir, a node keeps its engine state, and so the
+    # overlay of the ledger it accepted; its commit keeps that overlay.
+    net, nodes = build_cluster(5, seed=29)
+    kp = account("writer")
+    txs = [submit(net, nodes[0], kp, 1, CreateTable("t", SCHEMA))]
+    run = net.run_until(
+        lambda _n: any(n.engine.phase is ConsensusPhase.ACCEPTED for n in nodes), net.now + 10000
+    )
+    assert run.satisfied
+    target = next(n for n in nodes if n.engine.phase is ConsensusPhase.ACCEPTED)
+    assert target.store._overlay is not None
+    net.kill(target.node_id)
+    net.revive(target.node_id)
+    for seq in range(2, 6):
+        txs.append(submit(net, nodes[seq % 5], kp, seq, Insert("t", {"qty": seq, "name": "a"})))
+        run_until_committed(net, nodes, [txs[-1].tx_id])
+    run_until_tip(net, nodes, max(n.tip.seq for n in nodes))
+    for n in nodes:
+        assert n.tip.hash() == nodes[0].tip.hash()
+        assert state_hash(n.store) == state_hash(nodes[0].store)
+        assert n.store._overlay is None
+        assert all(chain_occurrences(n, tx.tx_id) == 1 for tx in txs)
 
 
 def test_partition_stalls_and_rolls_back_pending_state():

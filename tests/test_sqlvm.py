@@ -305,14 +305,18 @@ def test_overlay_rollback_restores_exact_state():
     assert store._overlay is None
 
 
-def test_overlay_commit_returns_applied_tx_ids():
+def test_overlay_commit_returns_results_and_advances_seq():
     store = _seed_store()
     begin_pending(store)
     tx_ok = make_tx(ALICE, 3, Insert("inv", {"qty": 7, "name": "n"}))
     tx_bad = make_tx(ALICE, 9, Insert("inv", {"qty": 7, "name": "n"}))
     assert apply_op(store, tx_ok).ok
     assert not apply_op(store, tx_bad).ok
-    assert commit_pending(store) == [tx_ok.tx_id]
+    with pytest.raises(OutOfOrderLedgerError):
+        commit_pending(store, 2)
+    assert commit_pending(store, 1) == [Applied(rows_changed=1), Rejected("bad_seq")]
+    assert store.applied_ledger_seq == 1
+    assert store._overlay is None
     assert store.tables["inv"].rows[2] == {"qty": 7, "name": "n"}
 
 
@@ -323,19 +327,18 @@ def test_overlay_commit_equals_direct_application():
         make_tx(ALICE, 3, Insert("inv", {"qty": 3, "name": "m"})),
         make_tx(ALICE, 4, Update("inv", (("qty", 3),), {"qty": 4})),
     ]
-    for tx in txs:
-        assert apply_op(direct, tx).ok
+    ledger = build_ledger(genesis_ledger(state_hash(direct)).header, txs, bytes(32), 1)
     begin_pending(overlaid)
     for tx in txs:
         assert apply_op(overlaid, tx).ok
-    commit_pending(overlaid)
+    assert commit_pending(overlaid, 1) == apply_ledger(direct, ledger)
     assert serialize_store(overlaid) == serialize_store(direct)
 
 
 def test_overlay_misuse_raises():
     store = TableStore()
     with pytest.raises(OverlayError):
-        commit_pending(store)
+        commit_pending(store, 1)
     with pytest.raises(OverlayError):
         rollback_pending(store)
     begin_pending(store)
@@ -676,7 +679,7 @@ def test_row_cache_stays_coherent_across_clones_and_overlays():
                         rollback_pending(store)
                         step = 0
                     else:
-                        commit_pending(store)
+                        commit_pending(store, store.applied_ledger_seq + 1)
                 me[1] = min(at + step, len(txs))
             else:
                 assert serialize_store(store) == reference_snapshot(store)
