@@ -123,6 +123,13 @@ class Reader:
     def remaining(self) -> int:
         return len(self._data) - self._pos
 
+    def tell(self) -> int:
+        return self._pos
+
+    def since(self, start: int) -> bytes:
+        """The bytes read from offset ``start`` (a past ``tell()``) up to here."""
+        return self._data[start : self._pos]
+
     def finish(self) -> None:
         """Assert the input was consumed exactly."""
         if self._pos != len(self._data):

@@ -22,7 +22,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 
 from . import signing
 from .codec import CodecError, Reader, Writer, check_sorted_key
@@ -336,7 +336,7 @@ class ValidationTracker:
 class StepOutput:
     proposals: List[Proposal] = field(default_factory=list)
     validations: List[Validation] = field(default_factory=list)
-    flood_txs: List[Transaction] = field(default_factory=list)
+    flood_frames: List[bytes] = field(default_factory=list)
     accepted: Optional[Ledger] = None
 
 
@@ -370,6 +370,10 @@ class ConsensusEngine:
         self.round = 0
         self.candidate: tuple = ()
         self.open_txs: Dict[bytes, Transaction] = {}
+        # The wire frame of each open tx, by tx id and as bytes: the node
+        # floods and relays these and drops byte-identical copies unread.
+        self.open_frames: Dict[bytes, bytes] = {}
+        self.known_frames: Set[bytes] = set()
         # seq -> node_id -> latest Proposal (highest round wins)
         self.peer_proposals: Dict[int, Dict[str, Proposal]] = {}
         self.validations = ValidationTracker()
@@ -379,11 +383,20 @@ class ConsensusEngine:
 
     # -- inbound ------------------------------------------------------------
 
-    def add_open_tx(self, tx: Transaction) -> bool:
+    def add_open_tx(self, tx: Transaction, frame: bytes) -> bool:
+        """Queue ``tx`` with ``frame``, the wire frame that carries it."""
         if tx.tx_id in self.open_txs:
             return False
         self.open_txs[tx.tx_id] = tx
+        self.open_frames[tx.tx_id] = frame
+        self.known_frames.add(frame)
         return True
+
+    def drop_open_txs(self, tx_ids: Iterable[bytes]) -> None:
+        """The one place open txs leave the queue; each takes its frame along."""
+        for tx_id in tx_ids:
+            if self.open_txs.pop(tx_id, None) is not None:
+                self.known_frames.discard(self.open_frames.pop(tx_id))
 
     def receive_proposal(self, p: Proposal) -> bool:
         expected = self._expected_keys.get(p.node_id)
@@ -424,8 +437,8 @@ class ConsensusEngine:
             txs.append(tx)
         return tuple(txs)
 
-    def _own_flood(self) -> List[Transaction]:
-        return [self.open_txs[i] for i in self.candidate if i in self.open_txs]
+    def _own_flood(self) -> List[bytes]:
+        return [self.open_frames[i] for i in self.candidate if i in self.open_frames]
 
     # -- the round machine ----------------------------------------------------
 
@@ -449,7 +462,7 @@ class ConsensusEngine:
             self.candidate = tuple(sorted(ids))
             self.phase = ConsensusPhase.ESTABLISH
             out.proposals.append(self._make_proposal())
-            out.flood_txs = self._own_flood()
+            out.flood_frames = self._own_flood()
             return out
 
         if self.phase is ConsensusPhase.ESTABLISH:
@@ -488,7 +501,7 @@ class ConsensusEngine:
             else:
                 self.candidate = new_candidate
             out.proposals.append(self._make_proposal())
-            out.flood_txs = self._own_flood()
+            out.flood_frames = self._own_flood()
             return out
 
         # ACCEPTED: keep re-broadcasting until the network fully validates.
@@ -516,8 +529,7 @@ class ConsensusEngine:
             raise ValueError(
                 f"commit for seq {committed.seq} while building {self.building_seq}"
             )
-        for tx in committed.txs:
-            self.open_txs.pop(tx.tx_id, None)
+        self.drop_open_txs(tx.tx_id for tx in committed.txs)
         self.building_seq = committed.seq + 1
         self.phase = ConsensusPhase.OPEN
         self.round = 0

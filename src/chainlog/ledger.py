@@ -438,14 +438,24 @@ class Transaction:
 
     @classmethod
     def decode_from(cls, r: Reader) -> "Transaction":
+        start = r.tell()
         account = AccountId(r.raw(ACCOUNT_LEN))
         seq = r.u64()
         if seq < 1:
             raise CodecError("transaction seq must be >= 1")
         op = decode_operation(r)
-        public_key = r.bytes_()
-        signature = r.bytes_()
-        return cls(account, seq, op, public_key, signature)
+        # Strict decoding is injective, so the body bytes just read are the
+        # canonical body: hash them rather than encode the body again. Setting
+        # the fields one by one in field order, as __init__ does, keeps the
+        # instance as small as a constructed one.
+        tx_id = hash32(r.since(start))
+        tx = object.__new__(cls)
+        for name, value in (
+            ("account", account), ("seq", seq), ("op", op),
+            ("public_key", r.bytes_()), ("signature", r.bytes_()), ("tx_id", tx_id),
+        ):
+            object.__setattr__(tx, name, value)
+        return tx
 
     def sort_key(self) -> tuple:
         return (self.account.id, self.seq, self.tx_id)

@@ -13,6 +13,14 @@ Wire behavior per tick: heartbeat to known peers, then (if voting) advance
 the consensus round machine. Nodes that fall behind catch up by requesting
 ledgers from peers; fresh or revived nodes stay non-voting until their state
 hash matches a peer's advertised tip.
+
+Each open tx is kept with its wire frame: the bytes it arrived in, or for a
+local submit a frame packed once. A node relays the bytes it received on
+first sight and floods the stored frame, so it packs no tx frame per send. A
+tx frame byte-equal to a stored one is dropped before decoding: strict
+decoding is injective, so it would decode to that open tx and be turned away
+as a duplicate. Frames leave with their txs, at commit or when a sync or
+restart adopts ledgers that applied them.
 """
 
 from __future__ import annotations
@@ -295,11 +303,17 @@ class Node:
     def on_message(self, now: int, sender: str, data: bytes) -> List[Tuple[str, bytes]]:
         self._now = now
         self.last_seen[sender] = now
+        if data in self.engine.known_frames:
+            # The frame of an open tx, byte for byte. Strict decoding is
+            # injective, so it would decode to that tx, a duplicate.
+            return []
         try:
             msg = netsim.unpack_message(data)
         except CodecError as exc:
             log.warning("%s: dropping malformed message from %s: %s", self.node_id, sender, exc)
             return []
+        if isinstance(msg, Transaction):
+            return self._on_tx_submit(sender, msg, data)
         return self._dispatch(now, sender, msg)
 
     def on_revive(self, now: int) -> List[Tuple[str, bytes]]:
@@ -320,8 +334,6 @@ class Node:
     # -- message dispatch ---------------------------------------------------------
 
     def _dispatch(self, now: int, sender: str, msg) -> List[Tuple[str, bytes]]:
-        if isinstance(msg, Transaction):
-            return self._on_tx_submit(sender, msg)
         if isinstance(msg, cns.Proposal):
             self.engine.receive_proposal(msg)
             return []
@@ -359,17 +371,18 @@ class Node:
             return [(sender, netsim.pack_message(req))]
         return []
 
-    def _on_tx_submit(self, sender: str, tx: Transaction) -> List[Tuple[str, bytes]]:
-        result = self.submit_transaction(tx)
+    def _on_tx_submit(self, sender: str, tx: Transaction, frame: bytes) -> List[Tuple[str, bytes]]:
+        result = self.submit_transaction(tx, frame)
         if result.status != "accepted":
             return []
-        # First sight: relay onward so every voter can propose it.
-        frame = netsim.pack_message(tx)
+        # First sight: relay the bytes received, so every voter can propose it.
         return [(peer, frame) for peer in sorted(self.config.unl.trusted) if peer != sender]
 
     # -- client access paths ---------------------------------------------------------
 
-    def submit_transaction(self, tx: Transaction) -> SubmitResult:
+    def submit_transaction(self, tx: Transaction, frame: Optional[bytes] = None) -> SubmitResult:
+        """Admit ``tx`` to the open set with ``frame``, the wire frame it came
+        in; a local submit has none, and one is packed once on acceptance."""
         if tx.tx_id in self.committed_txs or tx.tx_id in self.engine.open_txs:
             return SubmitResult("duplicate", tx.tx_id)
         if not lgr.verify_signature(tx):
@@ -377,7 +390,7 @@ class Node:
         committed_seq = self._read_store.account_seq.get(tx.account, 0)
         if tx.seq <= committed_seq:
             return SubmitResult("rejected", tx.tx_id, "stale_seq")
-        self.engine.add_open_tx(tx)
+        self.engine.add_open_tx(tx, netsim.pack_message(tx) if frame is None else frame)
         return SubmitResult("accepted", tx.tx_id)
 
     def read_query(self, select: SelectQuery, as_account: AccountId) -> List[sqlvm.Row]:
@@ -488,8 +501,7 @@ class Node:
     def _emit(self, step: cns.StepOutput) -> List[Tuple[str, bytes]]:
         out: List[Tuple[str, bytes]] = []
         peers = sorted(self.config.unl.trusted)
-        for tx in step.flood_txs:
-            frame = netsim.pack_message(tx)
+        for frame in step.flood_frames:
             out.extend((p, frame) for p in peers)
         for proposal in step.proposals:
             frame = netsim.pack_message(proposal)
@@ -606,7 +618,19 @@ class Node:
         self._read_store = stored.store.clone()
         self.tip = stored.tip
         self.engine.reset_to_seq(self.tip.seq + 1)
+        self._drop_applied_open_txs()
         self.known_validated_seq = self.tip.seq
+
+    def _drop_applied_open_txs(self) -> None:
+        """Drop the open txs a replaced store has already applied.
+
+        ``advance`` drops the txs of each ledger this node commits; a sync or a
+        restart adopts ledgers wholesale, so their txs go by account seq here.
+        """
+        seqs = self._read_store.account_seq
+        self.engine.drop_open_txs(
+            [tx_id for tx_id, tx in self.engine.open_txs.items() if tx.seq <= seqs.get(tx.account, 0)]
+        )
 
     def _index_outcomes(self, ledger: Ledger, results: list) -> None:
         for tx, result in zip(ledger.txs, results):
@@ -735,6 +759,7 @@ class Node:
         self.tip = tip_header
         self.known_validated_seq = max(self.known_validated_seq, tip_header.seq)
         self.engine.reset_to_seq(tip_header.seq + 1)
+        self._drop_applied_open_txs()
         self.voting = True
         return SyncReport(
             True,
@@ -770,6 +795,6 @@ def submit_via(net: netsim.SimNetwork, node_id: str, tx: Transaction) -> SubmitR
     node: Node = net.node(node_id)
     result = node.submit_transaction(tx)
     if result.status == "accepted":
-        frame = netsim.pack_message(tx)
+        frame = node.engine.open_frames[tx.tx_id]
         net.post(node_id, [(p, frame) for p in sorted(node.config.unl.trusted)])
     return result

@@ -261,6 +261,38 @@ def random_workload(seed: int, count: int, num_accounts: int = 3):
     return out
 
 
+_TEXT_CHARS = "az_Z09 \né€😀"
+
+
+def random_tx(rng: random.Random, keypairs: List[signing.KeyPair], kind: int) -> Transaction:
+    """A signed tx of op kind ``kind`` (0..5, ``OP_TAG`` order) with random
+    names, full-range values and seq, signed by one of ``keypairs``."""
+
+    def literal():
+        if rng.random() < 0.5:
+            return rng.randint(-(1 << 63), (1 << 63) - 1)
+        return "".join(rng.choice(_TEXT_CHARS) for _ in range(rng.randrange(12)))
+
+    def columns():
+        return [f"c{i}" for i in rng.sample(range(20), rng.randint(1, 4))]
+
+    table = rng.choice(("t", "inv", "T_9", "x" * lgr.MAX_NAME_LEN))
+    if kind == 0:
+        op = lgr.CreateTable(table, tuple((c, rng.choice(list(ColumnType))) for c in columns()))
+    elif kind == 1:
+        op = lgr.DropTable(table)
+    elif kind == 2:
+        op = lgr.Insert(table, {c: literal() for c in columns()})
+    elif kind == 3:
+        op = lgr.Update(table, tuple((c, literal()) for c in columns()), {c: literal() for c in columns()})
+    elif kind == 4:
+        op = lgr.Delete(table, tuple((c, literal()) for c in columns()) if rng.random() < 0.8 else ())
+    else:
+        grantee = AccountId(bytes(rng.randrange(256) for _ in range(lgr.ACCOUNT_LEN)))
+        op = lgr.Grant(table, grantee, frozenset(rng.sample(list(lgr.Perm), rng.randint(0, 4))))
+    return lgr.sign_transaction(rng.choice(keypairs), rng.randint(1, (1 << 64) - 1), op)
+
+
 @pytest.fixture
 def rng():
     return random.Random(0xC0FFEE)

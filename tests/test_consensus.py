@@ -27,6 +27,7 @@ from chainlog.consensus import (
     verify_consensus_message,
 )
 from chainlog.ledger import ZERO_HASH, Insert, build_ledger, genesis_ledger
+from chainlog.netsim import pack_message
 
 from conftest import account, make_tx
 
@@ -316,7 +317,7 @@ def test_solo_engine_accepts_alone():
     assert eng.tick(1000).proposals == []  # quiescent with nothing to do
     kp = account("solo-client")
     tx = make_tx(kp, 1, Insert("t", {"a": 1}))
-    eng.add_open_tx(tx)
+    eng.add_open_tx(tx, pack_message(tx))
     out = eng.tick(2000)
     assert eng.phase is ConsensusPhase.ESTABLISH
     assert [p.tx_ids for p in out.proposals] == [(tx.tx_id,)]
@@ -337,10 +338,9 @@ def test_two_engines_converge_on_union():
     b = _engine("b", ("a",), parent)
     kp = account("pair-client")
     tx1, tx2 = (make_tx(kp, s, Insert("t", {"a": s})) for s in (1, 2))
-    a.add_open_tx(tx1)
-    a.add_open_tx(tx2)
-    b.add_open_tx(tx1)
-    b.add_open_tx(tx2)
+    for eng in (a, b):
+        for tx in (tx1, tx2):
+            eng.add_open_tx(tx, pack_message(tx))
     accepted = {}
     for now in range(1000, 9000, 1000):
         outs = {"a": a.tick(now), "b": b.tick(now)}
@@ -384,7 +384,8 @@ def test_engine_max_rounds_falls_back_to_empty_set():
     cfg = ConsensusConfig(max_rounds=3)
     eng = _engine("a", ("b",), parent, cfg)  # 2 voters; quorum needs both
     kp = account("lonely")
-    eng.add_open_tx(make_tx(kp, 1, Insert("t", {"a": 1})))
+    tx = make_tx(kp, 1, Insert("t", {"a": 1}))
+    eng.add_open_tx(tx, pack_message(tx))
     eng.tick(1000)  # OPEN -> ESTABLISH
     last = None
     for now in range(2000, 8000, 1000):
@@ -425,7 +426,7 @@ def test_engine_waits_for_missing_tx_bytes():
         out = eng.tick(now)
         assert out.accepted is None
         assert eng.phase is ConsensusPhase.ESTABLISH
-    eng.add_open_tx(tx)
+    eng.add_open_tx(tx, pack_message(tx))
     eng.receive_proposal(
         sign_proposal(peer_kp, _proposal("b", (tx.tx_id,), round_=eng.round, seq=1))
     )

@@ -44,10 +44,10 @@ from chainlog.ledger import (
     verify_stored_dir,
     write_block_file,
 )
-from chainlog.signing import account_keypair
+from chainlog.signing import SCHEME_ED25519, account_keypair
 from chainlog.sqlvm import replay_from_genesis
 
-from conftest import make_tx
+from conftest import make_tx, random_tx
 
 OPS = [
     CreateTable("t", (("a", ColumnType.INT), ("b", ColumnType.TEXT))),
@@ -372,6 +372,41 @@ def test_random_transaction_round_trip_property(rng):
             op = Grant(name, grantee, perms)
         tx = sign_transaction(kp, trial + 1, op)
         assert deserialize_transaction(serialize_transaction(tx)) == tx
+
+
+def test_decoded_tx_id_hashes_the_decoded_body(rng):
+    # Decoding takes tx_id from the body bytes it read; over random txs and
+    # byte flips that still decode, that equals the hash of the encoded body.
+    keypairs = [account_keypair("slice"), account_keypair("slice", SCHEME_ED25519)]
+    decoded = 0
+    for trial in range(120):
+        tx = random_tx(rng, keypairs, trial % 6)
+        blob = serialize_transaction(tx)
+        assert deserialize_transaction(blob).tx_id == tx.tx_id == hash32(tx.body_bytes())
+        for _ in range(10):
+            mutated = bytearray(blob)
+            mutated[rng.randrange(len(mutated))] ^= 1 << rng.randrange(8)
+            try:
+                back = deserialize_transaction(bytes(mutated))
+            except CodecError:
+                continue
+            decoded += 1
+            assert back.tx_id == hash32(back.body_bytes())
+    assert decoded >= 300
+
+
+def test_tx_id_golden():
+    # Pinned ids, one per signature scheme: built and decoded txs keep them.
+    insert = sign_transaction(account_keypair("golden"), 7, Insert("inv", {"qty": 5, "name": "bolt"}))
+    update = sign_transaction(
+        account_keypair("golden", SCHEME_ED25519), 3, Update("inv", (("qty", 5),), {"name": "nut"})
+    )
+    for tx, golden in (
+        (insert, "223e97c4be7a1e81585af3d19311998b42a35958708f236a35f1315d2d26b5b3"),
+        (update, "b50210990f4b25eb1cd2e0fd4a389bcfcba182d827d5b463917ccc114a3e826d"),
+    ):
+        assert tx.tx_id.hex() == golden
+        assert deserialize_transaction(serialize_transaction(tx)).tx_id.hex() == golden
 
 
 def test_mutated_ledger_blob_never_passes_silently(rng):

@@ -2,6 +2,7 @@
 
 import pytest
 
+from chainlog import signing
 from chainlog.codec import CodecError
 from chainlog.consensus import Proposal, sign_proposal, validator_keypair
 from chainlog.ledger import Insert
@@ -19,7 +20,7 @@ from chainlog.netsim import (
     unpack_message,
 )
 
-from conftest import account, make_tx
+from conftest import account, make_tx, random_tx
 
 
 class Recorder:
@@ -87,6 +88,29 @@ def test_wire_frame_strictness():
 )
 def test_pack_unpack_round_trip(msg):
     assert unpack_message(pack_message(msg)) == msg
+
+
+def test_tx_frames_reencode_to_themselves(rng):
+    # A node relays the tx frames it receives and drops byte-identical copies
+    # unread; both rest on packing a decoded frame giving back its bytes.
+    keypairs = [
+        signing.account_keypair("reencode"),
+        signing.account_keypair("reencode", signing.SCHEME_ED25519),
+    ]
+    frames = [pack_message(random_tx(rng, keypairs, trial % 6)) for trial in range(120)]
+    for frame in frames:
+        assert pack_message(unpack_message(frame)) == frame
+    decoded = 0
+    for _ in range(1500):
+        mutated = bytearray(rng.choice(frames))
+        mutated[rng.randrange(len(mutated))] ^= 1 << rng.randrange(8)
+        try:
+            msg = unpack_message(bytes(mutated))
+        except CodecError:
+            continue
+        decoded += 1
+        assert pack_message(msg) == bytes(mutated)
+    assert decoded >= 300  # most flips land in values, keys and signatures
 
 
 def test_info_helpers():

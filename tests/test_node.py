@@ -4,13 +4,14 @@ import json
 
 import pytest
 
-from chainlog import sqlvm
+from chainlog import netsim, sqlvm
 from chainlog.consensus import ConsensusConfig, ConsensusPhase, Unl
 from chainlog.ledger import (
     AccountId,
     ColumnType,
     CreateTable,
     Insert,
+    Transaction,
     Update,
     verify_stored_dir,
 )
@@ -190,6 +191,93 @@ def test_state_hash_calls_per_committed_ledger(monkeypatch):
     assert calls["begin"] == 5 * ledgers and calls["rollback"] == 0, (calls, ledgers)
     assert calls["inside_begin_rollback"] == 0
     assert calls["state_hash"] <= 2 * 5 * ledgers, (calls, ledgers)
+
+
+def test_tx_frames_decoded_at_most_once_per_node(monkeypatch):
+    # Counts only: a node keeps the frame of each open tx, drops copies that
+    # equal it byte for byte before decoding and relays the bytes received,
+    # so it decodes at most one tx frame per tx (flooding made about ten),
+    # and a tx is packed once, where it is submitted.
+    net, nodes = build_cluster(5, seed=31)
+    kp = account("framer")
+    run_until_committed(net, nodes, [submit(net, nodes[0], kp, 1, CreateTable("t", SCHEMA)).tx_id])
+    decodes = {n.node_id: 0 for n in nodes}
+    packs = []
+    receiving = []
+    real_on_message, real_unpack, real_pack = Node.on_message, netsim.unpack_message, netsim.pack_message
+
+    def on_message(node, now, sender, data):
+        receiving.append(node.node_id)
+        try:
+            return real_on_message(node, now, sender, data)
+        finally:
+            receiving.pop()
+
+    def unpack(data):
+        msg = real_unpack(data)
+        if isinstance(msg, Transaction):
+            decodes[receiving[-1]] += 1
+        return msg
+
+    def pack(msg):
+        if isinstance(msg, Transaction):
+            packs.append(msg.tx_id)
+        return real_pack(msg)
+
+    monkeypatch.setattr(Node, "on_message", on_message)
+    monkeypatch.setattr(netsim, "unpack_message", unpack)
+    monkeypatch.setattr(netsim, "pack_message", pack)
+    txs = [submit(net, nodes[i % 5], kp, i + 2, Insert("t", {"qty": i, "name": "a"})) for i in range(20)]
+    run_until_committed(net, nodes, [tx.tx_id for tx in txs])
+    net.run_for(5000)
+    assert max(decodes.values()) <= len(txs), decodes
+    assert sorted(packs) == sorted(tx.tx_id for tx in txs)
+
+    # A frame that differs in its signature bytes carries a known tx id; it
+    # is decoded, found a duplicate, and changes nothing.
+    target = nodes[1]
+    tx = make_tx(kp, len(txs) + 2, Insert("t", {"qty": 0, "name": "b"}))
+    assert target.submit_transaction(tx).status == "accepted"
+    frame = target.engine.open_frames[tx.tx_id]
+    altered = Transaction(tx.account, tx.seq, tx.op, tx.public_key, bytes(b ^ 1 for b in tx.signature))
+    altered_frame = netsim.pack_message(altered)
+    assert altered.tx_id == tx.tx_id and altered_frame != frame
+    before = decodes[target.node_id]
+    assert target.on_message(net.now, "n3", frame) == []
+    assert decodes[target.node_id] == before
+    assert target.on_message(net.now, "n3", altered_frame) == []
+    assert decodes[target.node_id] == before + 1
+    assert target.engine.open_txs == {tx.tx_id: tx}
+    assert target.engine.open_frames == {tx.tx_id: frame}
+    assert target.engine.known_frames == {frame}
+    run_until_committed(net, nodes, [tx.tx_id])
+    for n in nodes:
+        assert n.engine.open_frames == {} and n.engine.known_frames == set()
+
+
+def test_open_txs_committed_by_sync_are_dropped():
+    # Seed 5: three INSERTs reach n3, n3 is cut off while the others commit
+    # them, and it takes that ledger over by sync after the heal. Neither its
+    # open set nor the frames kept with it may hold them afterwards.
+    net, nodes = build_cluster(5, seed=5)
+    kp = account("writer")
+    run_until_committed(net, nodes, [submit(net, nodes[0], kp, 1, CreateTable("t", SCHEMA)).tx_id])
+    txs = [submit(net, nodes[0], kp, seq, Insert("t", {"qty": seq, "name": "a"})) for seq in (2, 3, 4)]
+    lagging = nodes[2]
+    assert net.run_until(
+        lambda _n: all(tx.tx_id in lagging.engine.open_txs for tx in txs), net.now + 5000
+    ).satisfied
+    net.partition([("n1", "n2", "n4", "n5"), ("n3",)])
+    net.run_for(8000)
+    synced_seq = nodes[0].committed_txs[txs[0].tx_id].ledger_seq
+    assert lagging.tip.seq < synced_seq
+    net.heal()
+    run_until_committed(net, nodes, [tx.tx_id for tx in txs])
+    run_until_tip(net, nodes, max(n.tip.seq for n in nodes))
+    assert synced_seq not in lagging.commit_times  # adopted by sync, not built
+    assert {n.node_id: n.server_info(net.now).open_tx_count for n in nodes} == {n.node_id: 0 for n in nodes}
+    for n in nodes:
+        assert n.engine.open_frames == {} and n.engine.known_frames == set()
 
 
 def test_rejected_tx_commits_as_noop():
