@@ -16,6 +16,7 @@ Exit codes: 0 success; 1 parse/config errors; 2 unreachable endpoint;
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -63,16 +64,7 @@ def _load_config(path: str) -> nd.NodeConfig:
         raise _CliError(f"bad config {path}: {exc}", EXIT_CONFIG) from None
     override = os.environ.get(DATA_DIR_ENV)
     if override:
-        config = nd.NodeConfig(
-            node_id=config.node_id,
-            unl=config.unl,
-            role=config.role,
-            db_attached=config.db_attached,
-            consensus=config.consensus,
-            data_dir=Path(override),
-            gap_limit=config.gap_limit,
-            checkpoint_every=config.checkpoint_every,
-        )
+        config = dataclasses.replace(config, data_dir=Path(override))
     return config
 
 

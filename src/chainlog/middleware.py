@@ -59,62 +59,24 @@ class PromotionRefused(Exception):
 
 
 # ---------------------------------------------------------------------------
-# Ciphers: deterministic authenticated encryption, pluggable by name
+# Cipher: AES-SIV, deterministic authenticated encryption
 # ---------------------------------------------------------------------------
 
 
-class AesSivCipher:
+_KEY_LEN = 32  # AES-SIV key bytes
+
+
+def aes_siv_encrypt(key: bytes, plaintext: bytes, context: bytes) -> bytes:
     """AES-SIV: misuse-resistant AEAD, deterministic without a nonce."""
-
-    name = "aes-siv"
-    key_len = 32
-
-    def encrypt(self, key: bytes, plaintext: bytes, context: bytes) -> bytes:
-        return AESSIV(key).encrypt(plaintext, [context])
-
-    def decrypt(self, key: bytes, ciphertext: bytes, context: bytes) -> bytes:
-        try:
-            return AESSIV(key).decrypt(ciphertext, [context])
-        except InvalidTag:
-            raise DecryptError("ciphertext authentication failed") from None
+    return AESSIV(key).encrypt(plaintext, [context])
 
 
-class XorTestCipher:
-    """Keyed-hash stream + tag; fast and breakable, for high-volume tests.
+def aes_siv_decrypt(key: bytes, ciphertext: bytes, context: bytes) -> bytes:
+    try:
+        return AESSIV(key).decrypt(ciphertext, [context])
+    except InvalidTag:
+        raise DecryptError("ciphertext authentication failed") from None
 
-    Mirrors the hash-test signature scheme: deterministic, integrity-checked,
-    zero security margin.
-    """
-
-    name = "xor-test"
-    key_len = 32
-    _TAG_LEN = 16
-
-    def _stream(self, key: bytes, context: bytes, n: int) -> bytes:
-        out = bytearray()
-        counter = 0
-        while len(out) < n:
-            out.extend(hashlib.sha256(key + context + counter.to_bytes(8, "big")).digest())
-            counter += 1
-        return bytes(out[:n])
-
-    def encrypt(self, key: bytes, plaintext: bytes, context: bytes) -> bytes:
-        body = bytes(a ^ b for a, b in zip(plaintext, self._stream(key, context, len(plaintext))))
-        tag = hashlib.sha256(b"tag" + key + context + plaintext).digest()[: self._TAG_LEN]
-        return tag + body
-
-    def decrypt(self, key: bytes, ciphertext: bytes, context: bytes) -> bytes:
-        if len(ciphertext) < self._TAG_LEN:
-            raise DecryptError("ciphertext too short")
-        tag, body = ciphertext[: self._TAG_LEN], ciphertext[self._TAG_LEN :]
-        plaintext = bytes(a ^ b for a, b in zip(body, self._stream(key, context, len(body))))
-        expect = hashlib.sha256(b"tag" + key + context + plaintext).digest()[: self._TAG_LEN]
-        if tag != expect:
-            raise DecryptError("ciphertext authentication failed")
-        return plaintext
-
-
-CIPHERS = {c.name: c for c in (AesSivCipher(), XorTestCipher())}
 
 _MODE_NONE = 0
 _MODE_SYMMETRIC = 1
@@ -131,7 +93,6 @@ class EncryptionMode:
     """
 
     kind: int
-    cipher: str = "aes-siv"
     key_id: str = ""
     key: bytes = b""
     recipient_public: bytes = b""
@@ -142,23 +103,17 @@ class EncryptionMode:
         return cls(_MODE_NONE)
 
     @classmethod
-    def symmetric(cls, key_id: str, key: bytes, cipher: str = "aes-siv") -> "EncryptionMode":
-        if len(key) != CIPHERS[cipher].key_len:
-            raise ValueError(f"{cipher} key must be {CIPHERS[cipher].key_len} bytes")
-        return cls(_MODE_SYMMETRIC, cipher=cipher, key_id=key_id, key=key)
+    def symmetric(cls, key_id: str, key: bytes) -> "EncryptionMode":
+        if len(key) != _KEY_LEN:
+            raise ValueError(f"aes-siv key must be {_KEY_LEN} bytes")
+        return cls(_MODE_SYMMETRIC, key_id=key_id, key=key)
 
     @classmethod
-    def asymmetric(
-        cls,
-        recipient_public: bytes,
-        recipient_private: bytes = b"",
-        cipher: str = "aes-siv",
-    ) -> "EncryptionMode":
+    def asymmetric(cls, recipient_public: bytes, recipient_private: bytes = b"") -> "EncryptionMode":
         if len(recipient_public) != 32:
             raise ValueError("recipient public key must be 32 raw X25519 bytes")
         return cls(
             _MODE_ASYMMETRIC,
-            cipher=cipher,
             recipient_public=recipient_public,
             recipient_private=recipient_private,
         )
@@ -172,23 +127,21 @@ def recipient_keypair(seed: bytes) -> Tuple[bytes, bytes]:
     return seed, priv.public_key().public_bytes_raw()
 
 
-def _derive_key(shared: bytes, eph_pub: bytes, cipher) -> bytes:
-    material = hashlib.sha256(b"hybrid-key" + shared + eph_pub).digest()
-    return material[: cipher.key_len]
+def _derive_key(shared: bytes, eph_pub: bytes) -> bytes:
+    return hashlib.sha256(b"hybrid-key" + shared + eph_pub).digest()  # _KEY_LEN bytes
 
 
 def encrypt_payload(mode: EncryptionMode, plaintext: bytes) -> bytes:
     """Seal bytes under the mode; mode none is the identity."""
     if mode.kind == _MODE_NONE:
         return plaintext
-    cipher = CIPHERS[mode.cipher]
     w = Writer()
     w.u8(mode.kind)
     if mode.kind == _MODE_SYMMETRIC:
         if not mode.key:
             raise ValueError("symmetric mode has no key material")
         w.str_(mode.key_id)
-        w.bytes_(cipher.encrypt(mode.key, plaintext, mode.key_id.encode("utf-8")))
+        w.bytes_(aes_siv_encrypt(mode.key, plaintext, mode.key_id.encode("utf-8")))
         return w.getvalue()
     # Deterministic hybrid: ephemeral scalar from (recipient, plaintext).
     if not mode.recipient_public:
@@ -197,9 +150,8 @@ def encrypt_payload(mode: EncryptionMode, plaintext: bytes) -> bytes:
     eph_priv = X25519PrivateKey.from_private_bytes(eph_seed)
     eph_pub = eph_priv.public_key().public_bytes_raw()
     shared = eph_priv.exchange(X25519PublicKey.from_public_bytes(mode.recipient_public))
-    key = _derive_key(shared, eph_pub, cipher)
     w.bytes_(eph_pub)
-    w.bytes_(cipher.encrypt(key, plaintext, eph_pub))
+    w.bytes_(aes_siv_encrypt(_derive_key(shared, eph_pub), plaintext, eph_pub))
     return w.getvalue()
 
 
@@ -207,7 +159,6 @@ def decrypt_payload(mode: EncryptionMode, data: bytes) -> bytes:
     """Open sealed bytes; any inconsistency raises DecryptError."""
     if mode.kind == _MODE_NONE:
         return data
-    cipher = CIPHERS[mode.cipher]
     try:
         r = Reader(data)
         kind = r.u8()
@@ -219,7 +170,7 @@ def decrypt_payload(mode: EncryptionMode, data: bytes) -> bytes:
             r.finish()
             if key_id != mode.key_id:
                 raise DecryptError(f"payload key id {key_id!r} does not match {mode.key_id!r}")
-            return cipher.decrypt(mode.key, ct, key_id.encode("utf-8"))
+            return aes_siv_decrypt(mode.key, ct, key_id.encode("utf-8"))
         eph_pub = r.bytes_()
         ct = r.bytes_()
         r.finish()
@@ -229,7 +180,7 @@ def decrypt_payload(mode: EncryptionMode, data: bytes) -> bytes:
             raise DecryptError("asymmetric mode has no private key for decryption")
         priv = X25519PrivateKey.from_private_bytes(mode.recipient_private)
         shared = priv.exchange(X25519PublicKey.from_public_bytes(eph_pub))
-        return cipher.decrypt(_derive_key(shared, eph_pub, cipher), ct, eph_pub)
+        return aes_siv_decrypt(_derive_key(shared, eph_pub), ct, eph_pub)
     except CodecError as exc:
         raise DecryptError(f"malformed sealed payload: {exc}") from None
 

@@ -2,12 +2,14 @@
 
 A node exposes three access paths: direct chain writes (submit), fast local
 reads against the last committed ledger, and a combined endpoint that routes
-by operation kind. Each agreed tx applies once per node: the ledger a node
-validates is built in a pending overlay on its committed store, and commit
-keeps that overlay. A ledger the node did not build arrives through sync,
-which replaces the store. Reads use a snapshot taken at each commit, so they
-never see a built but unvalidated ledger. Snapshots share row dicts, so each
-costs a copy of the row maps, not of the rows.
+by operation kind. ``Node.store`` always holds the committed state at the
+tip, so reads, submit checks and checkpoints use it directly and never see a
+built but unvalidated ledger. Each agreed tx applies once per node: the
+ledger a node validates is built on a clone of the store, kept beside the
+engine's accepted ledger, and adopted at commit. A ledger the node did not
+build arrives through sync or restart, which adopt their verified store the
+same way. Clones share row dicts, so each costs a copy of the row maps, not
+of the rows.
 
 Wire behavior per tick: heartbeat to known peers, then (if voting) advance
 the consensus round machine. Nodes that fall behind catch up by requesting
@@ -43,8 +45,8 @@ from .netsim import Info, LedgerData, LedgerRequest
 
 log = logging.getLogger(__name__)
 
-DEFAULT_GAP_LIMIT = 1
-DEFAULT_CHECKPOINT_EVERY = 5
+GAP_LIMIT = 1  # ledgers a read may lag the validated tip
+CHECKPOINT_EVERY = 5  # partial-record nodes checkpoint every this many ledgers
 _MAX_SEQ = (1 << 64) - 1
 
 
@@ -79,8 +81,6 @@ class NodeConfig:
     db_attached: bool = True
     consensus: ConsensusConfig = field(default_factory=ConsensusConfig)
     data_dir: Optional[Path] = None
-    gap_limit: int = DEFAULT_GAP_LIMIT
-    checkpoint_every: int = DEFAULT_CHECKPOINT_EVERY
 
 
 _CONSENSUS_KEYS = {"round_interval_ms", "quorum", "thresholds"}
@@ -113,26 +113,32 @@ def parse_node_config(obj: dict) -> NodeConfig:
     db_attached = obj.get("db_attached", True)
     if not isinstance(db_attached, bool):
         raise ValueError("db_attached must be a boolean")
-    cobj = obj.get("consensus", {})
-    if not isinstance(cobj, dict):
-        raise ValueError("consensus must be an object")
-    unknown = set(cobj) - _CONSENSUS_KEYS
-    if unknown:
-        raise ValueError(f"unknown consensus keys: {sorted(unknown)}")
-    cfg = ConsensusConfig(
-        round_thresholds=tuple(cobj.get("thresholds", cns.DEFAULT_THRESHOLDS)),
-        validation_quorum=float(cobj.get("quorum", cns.DEFAULT_QUORUM)),
-        round_interval_ms=int(cobj.get("round_interval_ms", cns.DEFAULT_ROUND_INTERVAL_MS)),
-    )
     data_dir = obj.get("data_dir")
     return NodeConfig(
         node_id=node_id,
         unl=Unl(tuple(unl_ids)),
         role=role,
         db_attached=db_attached,
-        consensus=cfg,
+        consensus=parse_consensus_config(obj.get("consensus", {})),
         data_dir=Path(data_dir) if data_dir is not None else None,
     )
+
+
+def parse_consensus_config(cobj: dict) -> ConsensusConfig:
+    """Parse the ``consensus`` object of a node config or a scenario setup."""
+    if not isinstance(cobj, dict):
+        raise ValueError("consensus must be an object")
+    unknown = set(cobj) - _CONSENSUS_KEYS
+    if unknown:
+        raise ValueError(f"unknown consensus keys: {sorted(unknown)}")
+    try:
+        return ConsensusConfig(
+            round_thresholds=tuple(cobj.get("thresholds", cns.DEFAULT_THRESHOLDS)),
+            validation_quorum=float(cobj.get("quorum", cns.DEFAULT_QUORUM)),
+            round_interval_ms=int(cobj.get("round_interval_ms", cns.DEFAULT_ROUND_INTERVAL_MS)),
+        )
+    except TypeError as exc:
+        raise ValueError(f"bad consensus value: {exc}") from None
 
 
 def load_node_config(path: Path) -> NodeConfig:
@@ -253,8 +259,10 @@ class Node:
         if self.data_dir is not None:
             self.data_dir.mkdir(parents=True, exist_ok=True)
         self.keypair = cns.validator_keypair(config.node_id)
-        self.store = sqlvm.TableStore()
-        self._read_store = self.store.clone()
+        self.store = sqlvm.TableStore()  # committed state at tip, never a built ledger
+        # The ledger this node built for the engine's accepted ledger: (ledger,
+        # its store, per-tx results). _commit adopts it; a sync or restart drops it.
+        self._built: Optional[Tuple[Ledger, sqlvm.TableStore, list]] = None
         self.engine = ConsensusEngine(
             config.node_id, config.unl, config.consensus, self.keypair, self._build_ledger
         )
@@ -318,7 +326,6 @@ class Node:
 
     def on_revive(self, now: int) -> List[Tuple[str, bytes]]:
         """Restart from disk; stay non-voting until a peer confirms our tip."""
-        # Without a data dir the engine keeps its accepted ledger, so the store keeps its overlay.
         self._now = now
         self.started_at = now
         self.voting = False
@@ -387,7 +394,7 @@ class Node:
             return SubmitResult("duplicate", tx.tx_id)
         if not lgr.verify_signature(tx):
             return SubmitResult("rejected", tx.tx_id, "bad_signature")
-        committed_seq = self._read_store.account_seq.get(tx.account, 0)
+        committed_seq = self.store.account_seq.get(tx.account, 0)
         if tx.seq <= committed_seq:
             return SubmitResult("rejected", tx.tx_id, "stale_seq")
         self.engine.add_open_tx(tx, netsim.pack_message(tx) if frame is None else frame)
@@ -396,11 +403,11 @@ class Node:
     def read_query(self, select: SelectQuery, as_account: AccountId) -> List[sqlvm.Row]:
         if not self.config.db_attached:
             raise DbNotAttachedError(f"node {self.node_id} has no attached database")
-        applied = self._read_store.applied_ledger_seq
+        applied = self.store.applied_ledger_seq
         validated = max(self.known_validated_seq, self.tip.seq)
-        if validated - applied > self.config.gap_limit:
+        if validated - applied > GAP_LIMIT:
             raise NotSyncedError(applied, validated)
-        return sqlvm.query_select(self._read_store, select.table, select.where, as_account)
+        return sqlvm.query_select(self.store, select.table, select.where, as_account)
 
     def combined_access(
         self,
@@ -426,7 +433,7 @@ class Node:
 
     def next_seq_hint(self, account: AccountId) -> int:
         """Next usable per-account seq given committed state plus open txs."""
-        seq = self._read_store.account_seq.get(account, 0)
+        seq = self.store.account_seq.get(account, 0)
         open_seqs = {
             tx.seq for tx in self.engine.open_txs.values() if tx.account == account
         }
@@ -449,7 +456,7 @@ class Node:
             peer_count=len(self.last_seen),
             validated_seq=self.tip.seq,
             validated_hash=self.tip.hash(),
-            applied_seq=self._read_store.applied_ledger_seq,
+            applied_seq=self.store.applied_ledger_seq,
             open_tx_count=len(self.engine.open_txs),
             uptime_ms=max(0, now - self.started_at),
             voting=self.voting,
@@ -460,10 +467,10 @@ class Node:
 
     @property
     def applied_seq(self) -> int:
-        return self._read_store.applied_ledger_seq
+        return self.store.applied_ledger_seq
 
     def committed_state_hash(self) -> bytes:
-        return sqlvm.state_hash(self._read_store)
+        return sqlvm.state_hash(self.store)
 
     # -- consensus plumbing ---------------------------------------------------------
 
@@ -479,24 +486,23 @@ class Node:
             by_account.setdefault(tx.account, {})[tx.seq] = tx.tx_id
         ok: Set[bytes] = set()
         for account, seq_map in by_account.items():
-            seq = self._read_store.account_seq.get(account, 0) + 1
+            seq = self.store.account_seq.get(account, 0) + 1
             while seq in seq_map:
                 ok.add(seq_map[seq])
                 seq += 1
         return ok
 
-    def _build_ledger(self, txs: tuple, _now: int) -> Optional[Ledger]:
-        # The overlay stays open while the engine holds the accepted ledger:
-        # _commit keeps it, and the engine leaves ACCEPTED otherwise only
-        # through reset_to_seq, whose callers (sync, restart) replace the store.
-        sqlvm.begin_pending(self.store)
-        for tx in sorted(txs, key=Transaction.sort_key):
-            sqlvm.apply_op(self.store, tx)
+    def _build_ledger(self, txs: tuple, _now: int) -> Ledger:
+        store = self.store.clone()
+        results = [sqlvm.apply_op(store, tx) for tx in sorted(txs, key=Transaction.sort_key)]
         # close_time must depend only on agreed data: validators can accept the
         # same tx set on different ticks, and a clock-derived value would split
         # the validation vote across otherwise identical headers.
         close_time = self.tip.close_time + self.config.consensus.round_interval_ms
-        return lgr.build_ledger(self.tip, txs, sqlvm.state_hash(self.store), close_time)
+        ledger = lgr.build_ledger(self.tip, txs, sqlvm.state_hash(store), close_time)
+        store.applied_ledger_seq = ledger.seq
+        self._built = (ledger, store, results)
+        return ledger
 
     def _emit(self, step: cns.StepOutput) -> List[Tuple[str, bytes]]:
         out: List[Tuple[str, bytes]] = []
@@ -537,9 +543,12 @@ class Node:
         return [(peer, frame) for peer in sorted(self.config.unl.trusted)]
 
     def _commit(self, ledger: Ledger) -> None:
-        """Commit ``ledger``, which this node built: its overlay already holds it."""
-        self._index_outcomes(ledger, sqlvm.commit_pending(self.store, ledger.seq))
-        self._read_store = self.store.clone()
+        """Commit ``ledger``, which this node built: adopt the store it was built on."""
+        built, self._built = self._built, None
+        if built is None or built[0] is not ledger:
+            raise RuntimeError(f"{self.node_id}: ledger {ledger.seq} is not the one it built")
+        _, self.store, results = built
+        self._index_outcomes(ledger, results)
         self.tip = ledger.header
         self.chain_tail[ledger.seq] = ledger
         self.known_validated_seq = max(self.known_validated_seq, ledger.seq)
@@ -548,6 +557,7 @@ class Node:
             self.commit_rounds[ledger.seq] = self.engine.accepted_round
         self._persist_ledger(ledger)
         self.engine.advance(ledger)
+        self._drop_settled_open_txs()
         self._fetch_requested.discard(ledger.seq)
         self._maybe_checkpoint()
 
@@ -562,12 +572,11 @@ class Node:
     def _maybe_checkpoint(self) -> None:
         if self.data_dir is None or self.config.role.kind != "partial":
             return
-        if self.store.applied_ledger_seq % self.config.checkpoint_every == 0:
+        if self.store.applied_ledger_seq % CHECKPOINT_EVERY == 0:
             self.checkpoint()
 
     def checkpoint(self) -> sqlvm.Checkpoint:
-        # The read store is the committed snapshot, never overlaid.
-        cp = sqlvm.make_checkpoint(self._read_store)
+        cp = sqlvm.make_checkpoint(self.store)
         if self.data_dir is not None:
             sqlvm.write_checkpoint_file(self.data_dir, cp)
         return cp
@@ -614,23 +623,30 @@ class Node:
         for ledger, results in stored.replayed:
             self._index_outcomes(ledger, results)
         self.chain_tail = dict(stored.ledgers)
-        self.store = stored.store
-        self._read_store = stored.store.clone()
-        self.tip = stored.tip
-        self.engine.reset_to_seq(self.tip.seq + 1)
-        self._drop_applied_open_txs()
+        self._adopt(stored.store, stored.tip)
         self.known_validated_seq = self.tip.seq
 
-    def _drop_applied_open_txs(self) -> None:
-        """Drop the open txs a replaced store has already applied.
+    def _adopt(self, store: sqlvm.TableStore, tip: lgr.LedgerHeader) -> None:
+        """Take over a verified ``store`` at ``tip`` that this node did not build."""
+        self.store = store
+        self.tip = tip
+        self._built = None
+        self.engine.reset_to_seq(tip.seq + 1)
+        self._drop_settled_open_txs()
 
-        ``advance`` drops the txs of each ledger this node commits; a sync or a
-        restart adopts ledgers wholesale, so their txs go by account seq here.
+    def _drop_settled_open_txs(self) -> None:
+        """Drop every open tx the committed chain has settled; runs after each
+        commit, sync and restart.
+
+        A tx is settled once its id is committed, applied or rejected (a
+        reject does not consume its seq), or once its account's committed seq
+        reaches its seq (another tx took that seq, and it can never apply).
         """
-        seqs = self._read_store.account_seq
-        self.engine.drop_open_txs(
-            [tx_id for tx_id, tx in self.engine.open_txs.items() if tx.seq <= seqs.get(tx.account, 0)]
-        )
+        seqs = self.store.account_seq
+        self.engine.drop_open_txs([
+            tx_id for tx_id, tx in self.engine.open_txs.items()
+            if tx_id in self.committed_txs or tx.seq <= seqs.get(tx.account, 0)
+        ])
 
     def _index_outcomes(self, ledger: Ledger, results: list) -> None:
         for tx, result in zip(ledger.txs, results):
@@ -687,7 +703,7 @@ class Node:
         if data.tip_seq == self.tip.seq:
             if data.tip_header_hash != self.tip.hash():
                 return SyncReport(False, reason="tip hash mismatch at equal seq")
-            if data.tip_state_hash != sqlvm.state_hash(self._read_store):
+            if data.tip_state_hash != sqlvm.state_hash(self.store):
                 return SyncReport(False, reason="state hash mismatch at equal seq")
             self.voting = True
             return SyncReport(
@@ -725,7 +741,7 @@ class Node:
             ledgers = [l for l in ledgers if l.seq > self.tip.seq]
             if not ledgers:
                 return SyncReport(False, reason="peer sent nothing new")
-            scratch = self._read_store.clone()
+            scratch = self.store.clone()
             anchor_hash = self.tip.hash()
             new_tail = dict(self.chain_tail)
 
@@ -743,8 +759,6 @@ class Node:
 
         # Verified: adopt.
         from_seq = ledgers[0].seq if ledgers else tip_header.seq
-        self.store = scratch
-        self._read_store = scratch.clone()
         self.chain_tail = new_tail
         if used_checkpoint:
             self.committed_txs = {}
@@ -756,10 +770,8 @@ class Node:
             self.chain_tail[ledger.seq] = ledger
             self._index_outcomes(ledger, ledger_results)
             self._persist_ledger(ledger)
-        self.tip = tip_header
+        self._adopt(scratch, tip_header)
         self.known_validated_seq = max(self.known_validated_seq, tip_header.seq)
-        self.engine.reset_to_seq(tip_header.seq + 1)
-        self._drop_applied_open_txs()
         self.voting = True
         return SyncReport(
             True,

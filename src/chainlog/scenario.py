@@ -45,7 +45,7 @@ from . import node as nd
 from . import signing
 from . import sqltext
 from . import sqlvm
-from .consensus import ConsensusConfig, Unl
+from .consensus import Unl
 from .node import Node, SelectQuery
 
 DEFAULT_RUN_UNTIL_TIMEOUT_MS = 60000
@@ -153,12 +153,10 @@ class _Runner:
         nodes = args.get("nodes")
         if not isinstance(nodes, list) or not nodes:
             raise ScenarioError("setup needs a nonempty node list")
-        cobj = args.get("consensus", {})
-        cfg = ConsensusConfig(
-            round_thresholds=tuple(cobj.get("thresholds", (0.50, 0.65, 0.70, 0.80))),
-            validation_quorum=float(cobj.get("quorum", 0.80)),
-            round_interval_ms=int(cobj.get("round_interval_ms", 1000)),
-        )
+        try:
+            cfg = nd.parse_consensus_config(args.get("consensus", {}))
+        except ValueError as exc:
+            raise ScenarioError(f"setup: {exc}") from None
         partial = args.get("partial", {})
         detached = set(args.get("db_detached", []))
         self.net = netsim.SimNetwork(

@@ -8,9 +8,14 @@ must agree on outcomes, not just on successes.
 Rows are never mutated in place: ``Update`` stores a new dict for each
 matched row. So ``TableStore.clone`` is a cheap snapshot: each table copies
 its row map and grants but shares the row dicts. A node builds each ledger
-in a ``PendingOverlay``: ``begin_pending`` clones the base, ops apply to the
-store in place, ``commit_pending`` keeps them and returns their results, and
-``rollback_pending`` puts the clone's tables and account seqs back.
+on one clone of its committed store and adopts that clone at commit.
+
+The ``PendingOverlay`` API (``begin_pending`` clones the base, ops apply to
+the store in place, ``commit_pending`` keeps them and returns their results,
+``rollback_pending`` puts the clone's tables and account seqs back) is not
+used by the node. Its users are its own tests, the benchmark's tracer, which
+wraps ``begin_pending`` and ``rollback_pending`` by name, and the acceptance
+gate, which reads ``TableStore._overlay``.
 
 Each table shares with its clones one cache of ``row_id -> (row dict, row
 bytes)``, filled lazily by the state encoding and evicted by ``Delete``. An
@@ -23,7 +28,7 @@ rather than through ``apply_op``.
 A WHERE (conjunctive equality) is one pass over the table's rows: the first
 predicate is tested on every row, the rest only on the rows that pass it, and
 the matched ids are sorted. There is no secondary index: every node holds
-several stores (committed, read snapshot, sync and audit copies), and
+several stores (committed, the ledger it builds, sync and audit copies), and
 per-store index copies cost +36% peak RSS on the 10k-row ``bigtable``
 benchmark for a read path that is already well under a millisecond there.
 

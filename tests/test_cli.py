@@ -20,6 +20,8 @@ from chainlog.cli import (
     main,
 )
 
+from chainlog.scenario import ScenarioError, run_scenario
+
 from conftest import forge_tip
 
 
@@ -305,6 +307,13 @@ def test_scenario_bad_script_and_failed_assertion(tmp_path, capsys):
     out = capsys.readouterr().out
     statuses = [json.loads(l) for l in out.splitlines() if json.loads(l)["event"] == "assert"]
     assert any(not e["ok"] for e in statuses)
+
+
+@pytest.mark.parametrize("consensus", [{"ticks": 9}, {"thresholds": 5}, {"quorum": 0.5}, []])
+def test_scenario_bad_consensus_is_a_script_error(consensus):
+    script = [{"t": 0, "action": "setup", "args": {"nodes": ["a", "b"], "consensus": consensus}}]
+    with pytest.raises(ScenarioError, match="setup"):
+        run_scenario(script, seed=1)
 
 
 # ---------------------------------------------------------------------------

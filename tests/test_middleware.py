@@ -19,9 +19,7 @@ from chainlog.ledger import (
     sign_transaction,
 )
 from chainlog.middleware import (
-    CIPHERS,
     ENC_PREFIX,
-    AesSivCipher,
     BinlogEntry,
     ClientSession,
     DecryptError,
@@ -31,7 +29,8 @@ from chainlog.middleware import (
     RecoveryCenter,
     RetryPolicy,
     Unavailable,
-    XorTestCipher,
+    aes_siv_decrypt,
+    aes_siv_encrypt,
     declare_failure,
     decrypt_payload,
     decrypt_row_values,
@@ -65,45 +64,38 @@ SEED = hashlib.sha256(b"recipient seed").digest()
 
 def _modes():
     priv, pub = recipient_keypair(SEED)
-    out = []
-    for cipher in ("aes-siv", "xor-test"):
-        out.append(EncryptionMode.symmetric("k1", KEY, cipher=cipher))
-        out.append(EncryptionMode.asymmetric(pub, priv, cipher=cipher))
-    return out
+    return [EncryptionMode.symmetric("k1", KEY), EncryptionMode.asymmetric(pub, priv)]
 
 
 # ---------------------------------------------------------------------------
-# Ciphers
+# Cipher
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("cipher", [AesSivCipher(), XorTestCipher()])
-def test_cipher_round_trip_and_determinism(cipher):
-    ct = cipher.encrypt(KEY, b"payload", b"ctx")
-    assert cipher.decrypt(KEY, ct, b"ctx") == b"payload"
-    assert cipher.encrypt(KEY, b"payload", b"ctx") == ct  # no nonce by design
-    assert cipher.encrypt(KEY, b"payload", b"other") != ct
+def test_cipher_round_trip_and_determinism():
+    ct = aes_siv_encrypt(KEY, b"payload", b"ctx")
+    assert aes_siv_decrypt(KEY, ct, b"ctx") == b"payload"
+    assert aes_siv_encrypt(KEY, b"payload", b"ctx") == ct  # no nonce by design
+    assert aes_siv_encrypt(KEY, b"payload", b"other") != ct
     with pytest.raises(DecryptError):
-        cipher.decrypt(KEY, ct, b"other")
+        aes_siv_decrypt(KEY, ct, b"other")
     wrong = hashlib.sha256(b"wrong").digest()
     with pytest.raises(DecryptError):
-        cipher.decrypt(wrong, ct, b"ctx")
+        aes_siv_decrypt(wrong, ct, b"ctx")
 
 
-@pytest.mark.parametrize("cipher", [AesSivCipher(), XorTestCipher()])
-def test_cipher_rejects_every_single_byte_flip(cipher):
-    ct = cipher.encrypt(KEY, b"integrity matters", b"ctx")
+def test_cipher_rejects_every_single_byte_flip():
+    ct = aes_siv_encrypt(KEY, b"integrity matters", b"ctx")
     for i in range(len(ct)):
         mutated = bytearray(ct)
         mutated[i] ^= 0x01
         with pytest.raises(DecryptError):
-            cipher.decrypt(KEY, bytes(mutated), b"ctx")
+            aes_siv_decrypt(KEY, bytes(mutated), b"ctx")
 
 
-def test_cipher_registry_and_short_ciphertext():
-    assert set(CIPHERS) == {"aes-siv", "xor-test"}
+def test_cipher_rejects_short_ciphertext():
     with pytest.raises(DecryptError):
-        XorTestCipher().decrypt(KEY, b"\x00" * 4, b"ctx")
+        aes_siv_decrypt(KEY, b"\x00" * 4, b"ctx")
 
 
 # ---------------------------------------------------------------------------

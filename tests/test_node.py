@@ -24,6 +24,7 @@ from chainlog.node import (
     NotSyncedError,
     PrunedRange,
     SelectQuery,
+    TxOutcome,
     load_node_config,
     parse_node_config,
     submit_via,
@@ -104,6 +105,7 @@ def test_parse_node_config_happy(tmp_path):
         ({"role": "archive"}, "role must be"),
         ({"db_attached": "yes"}, "db_attached must be a boolean"),
         ({"consensus": {"ticks": 9}}, "unknown consensus keys"),
+        ({"consensus": {"thresholds": 5}}, "bad consensus value"),
     ],
 )
 def test_parse_node_config_errors(mutation, fragment):
@@ -148,31 +150,22 @@ def test_five_nodes_commit_and_agree():
 
 
 def test_state_hash_calls_per_committed_ledger(monkeypatch):
-    # Counts only: each node builds each ledger once, in an overlay that its
-    # commit keeps, so it applies each agreed tx once, opens one overlay and
-    # rolls back none; the overlay is a snapshot, so begin hashes nothing,
-    # and a committed ledger costs each node at most two state hashes.
+    # Counts only: each node builds each ledger once, on one clone of its
+    # committed store that its commit adopts, so it applies each agreed tx
+    # once, clones once per ledger and opens no overlay; a committed ledger
+    # costs each node at most two state hashes.
     net, nodes = build_cluster(5, seed=23)
     kp = account("counter")
     run_until_committed(net, nodes, [submit(net, nodes[0], kp, 1, CreateTable("inv", SCHEMA)).tx_id])
-    calls = {"state_hash": 0, "inside_begin_rollback": 0, "begin": 0, "rollback": 0,
-             "apply_op": 0, "clone": 0}
-    real_hash = sqlvm.state_hash
-
-    def counting_hash(store):
-        calls["state_hash"] += 1
-        return real_hash(store)
+    calls = {"state_hash": 0, "begin": 0, "rollback": 0, "apply_op": 0, "clone": 0}
 
     def counting(name, real):
         def wrapper(*args):
             calls[name] += 1
-            before = calls["state_hash"]
-            out = real(*args)
-            calls["inside_begin_rollback"] += calls["state_hash"] - before
-            return out
+            return real(*args)
         return wrapper
 
-    monkeypatch.setattr(sqlvm, "state_hash", counting_hash)
+    monkeypatch.setattr(sqlvm, "state_hash", counting("state_hash", sqlvm.state_hash))
     monkeypatch.setattr(sqlvm, "begin_pending", counting("begin", sqlvm.begin_pending))
     monkeypatch.setattr(sqlvm, "rollback_pending", counting("rollback", sqlvm.rollback_pending))
     monkeypatch.setattr(sqlvm, "apply_op", counting("apply_op", sqlvm.apply_op))
@@ -187,9 +180,8 @@ def test_state_hash_calls_per_committed_ledger(monkeypatch):
     committed = sum(len(nodes[0].chain_tail[seq].txs) for seq in range(start + 1, end + 1))
     assert ledgers >= 6 and committed == 6
     assert calls["apply_op"] == 5 * committed, (calls, committed)
-    assert calls["clone"] <= 2 * 5 * ledgers, (calls, ledgers)
-    assert calls["begin"] == 5 * ledgers and calls["rollback"] == 0, (calls, ledgers)
-    assert calls["inside_begin_rollback"] == 0
+    assert calls["clone"] == 5 * ledgers, (calls, ledgers)
+    assert calls["begin"] == 0 and calls["rollback"] == 0, calls
     assert calls["state_hash"] <= 2 * 5 * ledgers, (calls, ledgers)
 
 
@@ -280,6 +272,89 @@ def test_open_txs_committed_by_sync_are_dropped():
         assert n.engine.open_frames == {} and n.engine.known_frames == set()
 
 
+def test_rejected_tx_committed_by_sync_is_dropped():
+    # Seed 5 again, with an INSERT into a missing table: it commits as a
+    # reject, which consumes no account seq, so only its committed id can
+    # tell n3, which takes that ledger over by sync, to stop proposing it.
+    net, nodes = build_cluster(5, seed=5)
+    kp = account("writer")
+    tx = submit(net, nodes[0], kp, 1, Insert("nowhere", {"qty": 1}))
+    lagging = nodes[2]
+    assert net.run_until(lambda _n: tx.tx_id in lagging.engine.open_txs, net.now + 5000).satisfied
+    net.partition([("n1", "n2", "n4", "n5"), ("n3",)])
+    run_until_committed(net, nodes[:2] + nodes[3:], [tx.tx_id])
+    synced_seq = nodes[0].committed_txs[tx.tx_id].ledger_seq
+    assert lagging.tip.seq < synced_seq
+    net.heal()
+    run_until_committed(net, nodes, [tx.tx_id])
+    net.run_for(5000)
+    assert synced_seq not in lagging.commit_times  # adopted by sync, not built
+    for n in nodes:
+        assert n.tx_status(tx.tx_id) == ("validated", TxOutcome(synced_seq, False, "no_such_table"))
+        assert n.server_info(net.now).open_tx_count == 0
+        assert n.engine.open_frames == {} and n.engine.known_frames == set()
+
+
+def test_open_tx_that_lost_its_seq_is_dropped():
+    # Seed 9: two INSERTs at seq 2 reach n1 and n4 at once. One commits; the
+    # other can never apply, so each node drops it at that commit instead of
+    # reporting it pending forever.
+    net, nodes = build_cluster(5, seed=9)
+    kp = account("writer")
+    run_until_committed(net, nodes, [submit(net, nodes[0], kp, 1, CreateTable("t", SCHEMA)).tx_id])
+    rivals = [
+        submit(net, nodes[0], kp, 2, Insert("t", {"qty": 1, "name": "a"})),
+        submit(net, nodes[3], kp, 2, Insert("t", {"qty": 2, "name": "b"})),
+    ]
+    net.run_for(20000)
+    winners = [tx for tx in rivals if tx.tx_id in nodes[0].committed_txs]
+    assert len(winners) == 1
+    loser = next(tx for tx in rivals if tx is not winners[0])
+    for n in nodes:
+        assert n.tx_status(winners[0].tx_id)[0] == "validated"
+        assert n.tx_status(loser.tx_id) == ("unknown", None)
+        assert n.server_info(net.now).open_tx_count == 0
+        assert n.engine.open_frames == {} and n.engine.known_frames == set()
+
+
+def test_store_holds_the_tip_state_after_every_step():
+    # Reads, submit checks and checkpoints all use a node's store, so after
+    # every simulator event it holds exactly the state of the node's tip:
+    # while a ledger is built and accepted, while a partition keeps one side
+    # behind, and across the sync that heals it.
+    net, nodes = build_cluster(5, seed=67)
+    kp = account("writer")
+    accepted = set()
+
+    def checked(done):
+        def predicate(_net):
+            for n in nodes:
+                if n.node_id not in net.killed:
+                    assert state_hash(n.store) == n.tip.state_hash, (n.node_id, n.tip.seq, n.engine.phase)
+                    if n.engine.phase is ConsensusPhase.ACCEPTED:
+                        accepted.add(n.node_id)
+            return done()
+        return predicate
+
+    def committed(txs):
+        return lambda: all(tx.tx_id in n.committed_txs for n in nodes for tx in txs)
+
+    txs = [submit(net, nodes[0], kp, 1, CreateTable("t", SCHEMA))]
+    txs += [submit(net, nodes[i], kp, i + 2, Insert("t", {"qty": i, "name": "a"})) for i in range(3)]
+    assert net.run_until(checked(committed(txs)), net.now + 30000).satisfied
+    net.partition([("n1", "n2", "n3", "n4"), ("n5",)])
+    txs += [submit(net, nodes[0], kp, seq, Insert("t", {"qty": seq, "name": "b"})) for seq in (5, 6)]
+    assert net.run_until(
+        checked(lambda: all(txs[-1].tx_id in n.committed_txs for n in nodes[:4])), net.now + 30000
+    ).satisfied
+    synced_seq = nodes[0].tip.seq
+    assert nodes[4].tip.seq < synced_seq
+    net.heal()
+    assert net.run_until(checked(committed(txs)), net.now + 30000).satisfied
+    assert synced_seq not in nodes[4].commit_times  # adopted by sync, not built
+    assert accepted == {n.node_id for n in nodes}
+
+
 def test_rejected_tx_commits_as_noop():
     net, nodes = build_cluster(3, seed=7)
     kp = account("writer")
@@ -294,7 +369,7 @@ def test_rejected_tx_commits_as_noop():
 
 
 def test_mixed_ledger_outcomes_survive_restart(tmp_path):
-    # Outcomes of a live commit come from the build's overlay; a restart
+    # Outcomes of a live commit are the results kept from the build; a restart
     # replays the stored blocks through apply_ledger. Both must index the
     # same outcome for every tx of the ledger.
     net, nodes = build_cluster(5, seed=31, data_root=tmp_path)
@@ -640,7 +715,7 @@ def test_one_dead_voter_of_five_keeps_committing():
 
 def test_revived_node_commits_the_ledger_it_built():
     # Revived without a data dir, a node keeps its engine state, and so the
-    # overlay of the ledger it accepted; its commit keeps that overlay.
+    # ledger it accepted with the store it built; its commit adopts them.
     net, nodes = build_cluster(5, seed=29)
     kp = account("writer")
     txs = [submit(net, nodes[0], kp, 1, CreateTable("t", SCHEMA))]
@@ -649,17 +724,19 @@ def test_revived_node_commits_the_ledger_it_built():
     )
     assert run.satisfied
     target = next(n for n in nodes if n.engine.phase is ConsensusPhase.ACCEPTED)
-    assert target.store._overlay is not None
+    built = target.engine.accepted_ledger
+    assert target._built[0] is built
     net.kill(target.node_id)
     net.revive(target.node_id)
     for seq in range(2, 6):
         txs.append(submit(net, nodes[seq % 5], kp, seq, Insert("t", {"qty": seq, "name": "a"})))
         run_until_committed(net, nodes, [txs[-1].tx_id])
     run_until_tip(net, nodes, max(n.tip.seq for n in nodes))
+    assert target.chain_tail[built.seq] is built and built.seq in target.commit_times
     for n in nodes:
         assert n.tip.hash() == nodes[0].tip.hash()
         assert state_hash(n.store) == state_hash(nodes[0].store)
-        assert n.store._overlay is None
+        assert n._built is None
         assert all(chain_occurrences(n, tx.tx_id) == 1 for tx in txs)
 
 
