@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import enum
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 
@@ -255,17 +256,11 @@ def update_candidate(
 ) -> tuple:
     """Keep each tx iff its supporters meet the round's threshold. Sorted."""
     needed = min_count(threshold(cfg, round_), unl.voters)
-    universe = set(own)
+    # Proposal ids are deduplicated, so one count per voter per id.
+    support = Counter(own)
     for p in peer_proposals.values():
-        universe.update(p.tx_ids)
-    kept = []
-    for tx_id in universe:
-        support = (1 if tx_id in own else 0) + sum(
-            1 for p in peer_proposals.values() if tx_id in p.tx_ids
-        )
-        if support >= needed:
-            kept.append(tx_id)
-    return tuple(sorted(kept))
+        support.update(p.tx_ids)
+    return tuple(sorted(tx_id for tx_id, n in support.items() if n >= needed))
 
 
 def check_consensus(
@@ -336,7 +331,6 @@ class ValidationTracker:
 class StepOutput:
     proposals: List[Proposal] = field(default_factory=list)
     validations: List[Validation] = field(default_factory=list)
-    flood_frames: List[bytes] = field(default_factory=list)
     accepted: Optional[Ledger] = None
 
 
@@ -347,7 +341,8 @@ class ConsensusEngine:
     deterministically construct the next ledger from the agreed transactions
     (it owns the database and therefore the state hash). It may return None
     when some agreed transaction bytes have not arrived yet; the engine then
-    retries on the next tick while peers re-flood.
+    retries on the next tick while the node fetches the missing bytes by id
+    from the peers whose proposals name them.
     """
 
     def __init__(
@@ -371,7 +366,7 @@ class ConsensusEngine:
         self.candidate: tuple = ()
         self.open_txs: Dict[bytes, Transaction] = {}
         # The wire frame of each open tx, by tx id and as bytes: the node
-        # floods and relays these and drops byte-identical copies unread.
+        # relays and serves these and drops byte-identical copies unread.
         self.open_frames: Dict[bytes, bytes] = {}
         self.known_frames: Set[bytes] = set()
         # seq -> node_id -> latest Proposal (highest round wins)
@@ -437,9 +432,6 @@ class ConsensusEngine:
             txs.append(tx)
         return tuple(txs)
 
-    def _own_flood(self) -> List[bytes]:
-        return [self.open_frames[i] for i in self.candidate if i in self.open_frames]
-
     # -- the round machine ----------------------------------------------------
 
     def tick(self, now: int, proposable: Optional[Set[bytes]] = None) -> StepOutput:
@@ -462,7 +454,6 @@ class ConsensusEngine:
             self.candidate = tuple(sorted(ids))
             self.phase = ConsensusPhase.ESTABLISH
             out.proposals.append(self._make_proposal())
-            out.flood_frames = self._own_flood()
             return out
 
         if self.phase is ConsensusPhase.ESTABLISH:
@@ -474,7 +465,8 @@ class ConsensusEngine:
                 txs = self._candidate_txs()
                 if txs is None:
                     # Agreed ids whose bytes we lack; re-propose and wait for
-                    # the re-flood instead of accepting a ledger we cannot build.
+                    # the node to fetch them from the peers proposing them,
+                    # instead of accepting a ledger we cannot build.
                     out.proposals.append(self._make_proposal())
                     return out
                 ledger = self.build_fn(txs, now)
@@ -501,7 +493,6 @@ class ConsensusEngine:
             else:
                 self.candidate = new_candidate
             out.proposals.append(self._make_proposal())
-            out.flood_frames = self._own_flood()
             return out
 
         # ACCEPTED: keep re-broadcasting until the network fully validates.

@@ -457,11 +457,13 @@ class ClientSession:
                 return out
             if attempt == 0:
                 # Every endpoint is stale or lagging; give replication a beat.
+                # Only a live endpoint with a database can end the wait: a
+                # detached one that catches up first would still refuse.
                 self.net.run_until(
                     lambda _net: any(
                         self.net.node(e).applied_seq >= self.read_floor_seq
                         for e in self.endpoints
-                        if e not in self.net.killed
+                        if e not in self.net.killed and self.net.node(e).config.db_attached
                     ),
                     self.net.now + self.retry.wait_ms,
                 )

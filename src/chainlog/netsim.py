@@ -30,6 +30,9 @@ MSG_VALIDATION = 2
 MSG_LEDGER_REQUEST = 3
 MSG_LEDGER_DATA = 4
 MSG_INFO = 5
+MSG_TX_REQUEST = 6
+
+MAX_TX_REQUEST_IDS = 1024  # ids one TxRequest may carry; decoding rejects more
 
 _TAG_NAMES = {
     MSG_TX_SUBMIT: "tx_submit",
@@ -38,6 +41,7 @@ _TAG_NAMES = {
     MSG_LEDGER_REQUEST: "ledger_request",
     MSG_LEDGER_DATA: "ledger_data",
     MSG_INFO: "info",
+    MSG_TX_REQUEST: "tx_request",
 }
 
 
@@ -190,6 +194,44 @@ class Info:
         return cls(kind, tuple(fields))
 
 
+@dataclass(frozen=True)
+class TxRequest:
+    """Ask a peer for the frames of open txs by id; it sends back a plain tx
+    frame for each id it holds open and stays silent on the rest."""
+
+    requester: str
+    tx_ids: tuple  # sorted, deduplicated 32-byte ids, at most MAX_TX_REQUEST_IDS
+
+    def __post_init__(self) -> None:
+        ids = tuple(self.tx_ids)
+        if list(ids) != sorted(set(ids)):
+            raise ValueError("requested tx_ids must be sorted and deduplicated")
+        if len(ids) > MAX_TX_REQUEST_IDS:
+            raise ValueError(f"a tx request carries at most {MAX_TX_REQUEST_IDS} ids")
+        if any(len(tx_id) != HASH_LEN for tx_id in ids):
+            raise ValueError("tx id must be 32 bytes")
+        object.__setattr__(self, "tx_ids", ids)
+
+    def encode_into(self, w: Writer) -> None:
+        w.str_(self.requester)
+        w.u32(len(self.tx_ids))
+        for tx_id in self.tx_ids:
+            w.raw(tx_id)
+
+    @classmethod
+    def decode_from(cls, r: Reader) -> "TxRequest":
+        requester = r.str_()
+        count = r.u32()
+        if count > MAX_TX_REQUEST_IDS:
+            raise CodecError(f"tx request of {count} ids exceeds {MAX_TX_REQUEST_IDS}")
+        ids = []
+        prev = None
+        for _ in range(count):
+            prev = check_sorted_key(prev, r.raw(HASH_LEN), "requested tx_ids")
+            ids.append(prev)
+        return cls(requester, tuple(ids))
+
+
 def _encode_payload(msg) -> bytes:
     w = Writer()
     msg.encode_into(w)
@@ -210,6 +252,8 @@ def pack_message(msg) -> bytes:
         return encode_wire(MSG_LEDGER_DATA, _encode_payload(msg))
     if isinstance(msg, Info):
         return encode_wire(MSG_INFO, _encode_payload(msg))
+    if isinstance(msg, TxRequest):
+        return encode_wire(MSG_TX_REQUEST, _encode_payload(msg))
     raise TypeError(f"not a wire message: {type(msg).__name__}")
 
 
@@ -220,6 +264,7 @@ _DECODERS = {
     MSG_LEDGER_REQUEST: LedgerRequest.decode_from,
     MSG_LEDGER_DATA: LedgerData.decode_from,
     MSG_INFO: Info.decode_from,
+    MSG_TX_REQUEST: TxRequest.decode_from,
 }
 
 

@@ -17,12 +17,18 @@ ledgers from peers; fresh or revived nodes stay non-voting until their state
 hash matches a peer's advertised tip.
 
 Each open tx is kept with its wire frame: the bytes it arrived in, or for a
-local submit a frame packed once. A node relays the bytes it received on
-first sight and floods the stored frame, so it packs no tx frame per send. A
-tx frame byte-equal to a stored one is dropped before decoding: strict
-decoding is injective, so it would decode to that open tx and be turned away
-as a duplicate. Frames leave with their txs, at commit or when a sync or
-restart adopts ledgers that applied them.
+local submit a frame packed once. Each tx body crosses each link about once:
+a local submit is sent to the UNL once, and a node relays the bytes it
+received on first sight. Proposals carry only ids; a node that accepts a
+peer's proposal naming ids it neither holds open nor has committed asks that
+peer for them with one ``TxRequest``, at most once per id per round (the
+asked set is cleared each tick, so a lost request or reply is retried on the
+next proposal). The peer answers with the stored frame of each id it holds
+open, and those plain tx frames take the ordinary submit path. A tx frame
+byte-equal to a stored one is dropped before decoding: strict decoding is
+injective, so it would decode to that open tx and be turned away as a
+duplicate. Frames leave with their txs, at commit or when a sync or restart
+adopts ledgers that applied them.
 """
 
 from __future__ import annotations
@@ -41,7 +47,7 @@ from . import sqlvm
 from .codec import CodecError
 from .consensus import ConsensusConfig, ConsensusEngine, Unl
 from .ledger import AccountId, Ledger, Transaction
-from .netsim import Info, LedgerData, LedgerRequest
+from .netsim import Info, LedgerData, LedgerRequest, TxRequest
 
 log = logging.getLogger(__name__)
 
@@ -279,6 +285,7 @@ class Node:
         self.commit_rounds: Dict[int, int] = {}  # seq -> establish rounds used (own accepts)
         self._sync_requested: Set[Tuple[str, int]] = set()
         self._fetch_requested: Set[int] = set()
+        self._tx_requested: Set[bytes] = set()  # ids asked for since the last tick
         if self.data_dir is not None:
             if (self.data_dir / lgr.MANIFEST_NAME).exists():
                 self._load_from_disk()
@@ -293,6 +300,7 @@ class Node:
 
     def on_timer(self, now: int) -> List[Tuple[str, bytes]]:
         self._now = now
+        self._tx_requested.clear()
         out: List[Tuple[str, bytes]] = []
         hb = Info.of(
             "heartbeat",
@@ -332,6 +340,7 @@ class Node:
         self.last_seen = {}
         self._sync_requested.clear()
         self._fetch_requested.clear()
+        self._tx_requested.clear()
         if self.data_dir is not None:
             self._load_from_disk()
         req = LedgerRequest(self.node_id, self.tip.seq + 1, _MAX_SEQ)
@@ -342,8 +351,12 @@ class Node:
 
     def _dispatch(self, now: int, sender: str, msg) -> List[Tuple[str, bytes]]:
         if isinstance(msg, cns.Proposal):
-            self.engine.receive_proposal(msg)
+            if self.engine.receive_proposal(msg):
+                return self._request_missing_txs(sender, msg.tx_ids)
             return []
+        if isinstance(msg, TxRequest):
+            frames = self.engine.open_frames
+            return [(sender, frames[i]) for i in msg.tx_ids if i in frames]
         if isinstance(msg, cns.Validation):
             if self.engine.receive_validation(msg):
                 self._note_quorum(msg.ledger_seq)
@@ -377,6 +390,21 @@ class Node:
             req = LedgerRequest(self.node_id, self.tip.seq + 1, peer_tip)
             return [(sender, netsim.pack_message(req))]
         return []
+
+    def _request_missing_txs(self, peer: str, tx_ids: tuple) -> List[Tuple[str, bytes]]:
+        """Ask ``peer`` for the proposed ids whose bytes we lack, once per round."""
+        missing = [
+            i for i in tx_ids
+            if i not in self.engine.open_txs
+            and i not in self.committed_txs
+            and i not in self._tx_requested
+        ]
+        self._tx_requested.update(missing)
+        cap = netsim.MAX_TX_REQUEST_IDS
+        return [
+            (peer, netsim.pack_message(TxRequest(self.node_id, tuple(missing[i:i + cap]))))
+            for i in range(0, len(missing), cap)
+        ]
 
     def _on_tx_submit(self, sender: str, tx: Transaction, frame: bytes) -> List[Tuple[str, bytes]]:
         result = self.submit_transaction(tx, frame)
@@ -507,8 +535,6 @@ class Node:
     def _emit(self, step: cns.StepOutput) -> List[Tuple[str, bytes]]:
         out: List[Tuple[str, bytes]] = []
         peers = sorted(self.config.unl.trusted)
-        for frame in step.flood_frames:
-            out.extend((p, frame) for p in peers)
         for proposal in step.proposals:
             frame = netsim.pack_message(proposal)
             out.extend((p, frame) for p in peers)
@@ -801,7 +827,8 @@ def sync_from_peer(net: netsim.SimNetwork, node_id: str, peer_id: str) -> SyncRe
 
 
 def submit_via(net: netsim.SimNetwork, node_id: str, tx: Transaction) -> SubmitResult:
-    """In-process submit endpoint: deliver a tx to a node and flood it."""
+    """In-process submit endpoint: deliver a tx to a node, which sends it to
+    its UNL once; peers relay it on first sight."""
     if node_id in net.killed:
         return SubmitResult("rejected", tx.tx_id, "unreachable")
     node: Node = net.node(node_id)

@@ -204,6 +204,46 @@ def test_update_candidate_matches_recount_oracle(rng):
         assert list(got) == expect
 
 
+def _per_proposal_update_candidate(own, peer_proposals, round_, cfg, unl):
+    """The rule as first written: a membership test per id per proposal."""
+    needed = min_count(threshold(cfg, round_), unl.voters)
+    universe = set(own)
+    for p in peer_proposals.values():
+        universe.update(p.tx_ids)
+    kept = []
+    for tx_id in universe:
+        support = (1 if tx_id in own else 0) + sum(
+            1 for p in peer_proposals.values() if tx_id in p.tx_ids
+        )
+        if support >= needed:
+            kept.append(tx_id)
+    return tuple(sorted(kept))
+
+
+def test_update_candidate_matches_the_per_proposal_rule(rng):
+    # The one-pass count must keep exactly what the per-proposal rule kept,
+    # at every round's threshold, with empty, disjoint and overlapping sets.
+    cfg = ConsensusConfig()
+    pool = [rng.randbytes(32) for _ in range(60)]
+    for trial in range(150):
+        n_peers = rng.randint(0, 6)
+        unl = Unl(tuple(f"p{i}" for i in range(n_peers)))
+        if trial % 3 == 0:  # disjoint: every voter draws from its own slice
+            slices = [pool[i * 8:(i + 1) * 8] for i in range(n_peers + 1)]
+        else:
+            slices = [pool] * (n_peers + 1)
+        density = rng.choice((0.0, 0.2, 0.7, 1.0))
+        own = {t for t in slices[0] if rng.random() < density}
+        peers = {
+            f"p{i}": _proposal(f"p{i}", [t for t in slices[i + 1] if rng.random() < density])
+            for i in range(n_peers)
+        }
+        for round_ in range(len(cfg.round_thresholds) + 2):
+            assert update_candidate(own, peers, round_, cfg, unl) == (
+                _per_proposal_update_candidate(own, peers, round_, cfg, unl)
+            )
+
+
 def test_check_consensus_exhaustive_counts():
     cfg = ConsensusConfig()
     own = set(_ids(1, 2))

@@ -321,8 +321,8 @@ def test_session_failover_resubmits_identical_tx_exactly_once():
     first = sess.submit(CreateTable("vault", VAULT))
     run_until_committed(net, nodes, [first.tx_id])
     # Sign but do not submit; push it through n1 by hand, then kill n1 before
-    # the flood can deliver. The session must walk to a live endpoint and
-    # resubmit the identical signed transaction.
+    # its sends to the UNL can deliver. The session must walk to a live
+    # endpoint and resubmit the identical signed transaction.
     handle = sess.submit(Insert("vault", {"qty": 9, "secret": "x"}), wait=False)
     assert submit_via(net, "n1", handle.tx).ok
     net.kill("n1")
@@ -378,6 +378,22 @@ def test_session_reads_skip_detached_endpoints():
     rows = sess.select(SelectQuery("vault", ()))
     assert [r["qty"] for r in rows] == [4]
     assert sess.active != "n1"  # the read had to walk past the detached node
+
+
+def test_session_read_waits_for_an_endpoint_that_can_serve():
+    # The detached n1 holds the read floor's ledger while the attached n2 is
+    # one ledger behind: the read must wait for n2, not stop at n1, which
+    # reached the floor first but can never serve it.
+    net, nodes = build_cluster(5, seed=137, detached=("n1",))
+    sess = ClientSession(net, ["n1", "n2"], account("client"))
+    sess.submit(CreateTable("vault", VAULT))
+    net.partition([("n1", "n3", "n4", "n5"), ("n2",)])
+    sess.submit(Insert("vault", {"qty": 4, "secret": "s"}))
+    assert nodes[0].applied_seq >= sess.read_floor_seq > nodes[1].applied_seq
+    net.heal()
+    rows = sess.select(SelectQuery("vault", ()))
+    assert [r["qty"] for r in rows] == [4]
+    assert sess.active == "n2"
 
 
 # ---------------------------------------------------------------------------

@@ -3,17 +3,20 @@
 import pytest
 
 from chainlog import signing
-from chainlog.codec import CodecError
+from chainlog.codec import CodecError, Writer
 from chainlog.consensus import Proposal, sign_proposal, validator_keypair
 from chainlog.ledger import Insert
 from chainlog.netsim import (
+    MAX_TX_REQUEST_IDS,
     MSG_INFO,
+    MSG_TX_REQUEST,
     MSG_TX_SUBMIT,
     Envelope,
     Info,
     LedgerData,
     LedgerRequest,
     SimNetwork,
+    TxRequest,
     decode_wire,
     encode_wire,
     pack_message,
@@ -83,11 +86,39 @@ def test_wire_frame_strictness():
             "n3", 4, b"\x01" * 32, b"\x02" * 32, (), b"snap", 2, b"\x03" * 32
         ),
         Info.of("heartbeat", tip_seq="4", tip_hash="ab"),
+        TxRequest("n4", (b"\x01" * 32, b"\x07" * 32)),
+        TxRequest("n4", ()),
     ],
     ids=lambda m: type(m).__name__,
 )
 def test_pack_unpack_round_trip(msg):
     assert unpack_message(pack_message(msg)) == msg
+
+
+def test_tx_request_decoding_is_strict():
+    def frame(ids):
+        w = Writer()
+        w.str_("n4")
+        w.u32(len(ids))
+        for tx_id in ids:
+            w.raw(tx_id)
+        return encode_wire(MSG_TX_REQUEST, w.getvalue())
+
+    a, b = b"\x01" * 32, b"\x02" * 32
+    assert unpack_message(frame([a, b])) == TxRequest("n4", (a, b))
+    full = [i.to_bytes(32, "big") for i in range(MAX_TX_REQUEST_IDS + 1)]
+    assert unpack_message(frame(full[:-1])).tx_ids == tuple(full[:-1])
+    for bad in ([b, a], [a, a], full):
+        with pytest.raises(CodecError):
+            unpack_message(frame(bad))
+    good = frame([a, b])
+    for cut in range(5, len(good)):
+        truncated = good[:cut]
+        with pytest.raises(CodecError):
+            unpack_message((len(truncated) - 4).to_bytes(4, "big") + truncated[4:])
+    for bad in ((b, a), (a, a), tuple(full), (b"\x01" * 31,)):
+        with pytest.raises(ValueError):
+            TxRequest("n4", bad)
 
 
 def test_tx_frames_reencode_to_themselves(rng):

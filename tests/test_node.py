@@ -247,6 +247,100 @@ def test_tx_frames_decoded_at_most_once_per_node(monkeypatch):
         assert n.engine.open_frames == {} and n.engine.known_frames == set()
 
 
+def test_tx_frames_delivered_at_most_sixteen_per_tx(monkeypatch):
+    # Counts only: a submit reaches the 4 peers once and each relays it once
+    # on first sight (4 + 4 * 3 frames); proposals carry only ids, and with
+    # no drops nothing is missing, so nothing is re-sent (a per-round
+    # re-flood of each candidate delivered about 50 per tx).
+    net, nodes = build_cluster(5, seed=37)
+    kp = account("relay")
+    run_until_committed(net, nodes, [submit(net, nodes[0], kp, 1, CreateTable("t", SCHEMA)).tx_id])
+    delivered = 0
+    real_on_message = Node.on_message
+
+    def on_message(node, now, sender, data):
+        nonlocal delivered
+        delivered += data[4] == netsim.MSG_TX_SUBMIT
+        return real_on_message(node, now, sender, data)
+
+    monkeypatch.setattr(Node, "on_message", on_message)
+    txs = [submit(net, nodes[i % 5], kp, i + 2, Insert("t", {"qty": i, "name": "a"})) for i in range(20)]
+    run_until_committed(net, nodes, [tx.tx_id for tx in txs])
+    net.run_for(5000)
+    assert delivered <= 16 * len(txs), delivered
+    assert all(chain_occurrences(n, tx.tx_id) == 1 for n in nodes for tx in txs)
+
+
+@pytest.mark.parametrize("lost_replies", [0, 1])
+def test_node_fetches_tx_bytes_it_lost_by_id(lost_replies):
+    # Every tx frame to n3 is garbled in transit until n3 has asked for the
+    # tx by id lost_replies + 1 times: it learns the id from the peers'
+    # proposals, asks one of them once per round, and asks again in the next
+    # round when the reply is lost.
+    net, nodes = build_cluster(5, seed=41)
+    kp = account("fetcher")
+    run_until_committed(net, nodes, [submit(net, nodes[0], kp, 1, CreateTable("t", SCHEMA)).tx_id])
+    target = nodes[2]
+    requests = []
+
+    def hook(frm, to, payload):
+        if payload[4] == netsim.MSG_TX_REQUEST:
+            requests.append((net.now, frm, netsim.unpack_message(payload).tx_ids))
+        if to == target.node_id and payload[4] == netsim.MSG_TX_SUBMIT and len(requests) <= lost_replies:
+            return payload[:-1]  # truncated: fails to decode
+        return payload
+
+    net.transit_hook = hook
+    tx = submit(net, nodes[0], kp, 2, Insert("t", {"qty": 7, "name": "a"}))
+    if not lost_replies:
+        assert net.run_until(lambda _n: tx.tx_id in target.engine.open_txs, net.now + 5000).satisfied
+        assert target.tip.seq == nodes[0].tip.seq  # the tx is still open everywhere
+        assert target.engine.open_frames[tx.tx_id] == nodes[0].engine.open_frames[tx.tx_id]
+    run_until_committed(net, nodes, [tx.tx_id])
+    # Four proposals name the id each round; n3 asks one peer, once a round.
+    assert [(frm, ids) for _, frm, ids in requests] == [(target.node_id, (tx.tx_id,))] * (lost_replies + 1)
+    assert len({now // 1000 for now, _, _ in requests}) == lost_replies + 1
+    seq = nodes[0].committed_txs[tx.tx_id].ledger_seq
+    assert all(n.committed_txs[tx.tx_id].ledger_seq == seq for n in nodes)
+    assert target.chain_tail[seq].header == nodes[0].chain_tail[seq].header
+
+
+def test_tx_request_served_from_open_frames_only():
+    net, nodes = build_cluster(3, seed=43)
+    kp = account("server")
+    committed = submit(net, nodes[0], kp, 1, CreateTable("t", SCHEMA))
+    run_until_committed(net, nodes, [committed.tx_id])
+    server = nodes[0]
+    open_txs = [make_tx(kp, seq, Insert("t", {"qty": seq, "name": "a"})) for seq in (2, 3)]
+    for tx in open_txs:
+        assert server.submit_transaction(tx).status == "accepted"
+    unknown = make_tx(kp, 4, Insert("t", {"qty": 4, "name": "a"}))
+    ids = tuple(sorted(t.tx_id for t in open_txs + [committed, unknown]))
+    reply = server.on_message(net.now, "n2", netsim.pack_message(netsim.TxRequest("n2", ids)))
+    frames = server.engine.open_frames
+    assert sorted(reply) == sorted(("n2", frames[tx.tx_id]) for tx in open_txs)
+    assert server.on_message(net.now, "n2", netsim.pack_message(netsim.TxRequest("n2", ()))) == []
+
+
+def test_every_tx_commits_once_under_drops():
+    # Liveness sweep: with 10% of frames dropped, 31 txs submitted round-robin
+    # commit exactly once on every node, each seed within 60 s of sim time.
+    failing = []
+    for seed in range(1, 21):
+        net, nodes = build_cluster(5, seed=seed, drop_rate=0.1)
+        kp = account("sweep")
+        txs = [make_tx(kp, 1, CreateTable("t", SCHEMA))]
+        txs += [make_tx(kp, seq, Insert("t", {"qty": seq, "name": "a"})) for seq in range(2, 32)]
+        for i, tx in enumerate(txs):
+            assert submit_via(net, nodes[i % 5].node_id, tx).ok
+        run = net.run_until(
+            lambda _n: all(tx.tx_id in n.committed_txs for n in nodes for tx in txs), 60000
+        )
+        if not run or any(chain_occurrences(n, tx.tx_id) != 1 for n in nodes for tx in txs):
+            failing.append(seed)
+    assert failing == []
+
+
 def test_open_txs_committed_by_sync_are_dropped():
     # Seed 5: three INSERTs reach n3, n3 is cut off while the others commit
     # them, and it takes that ledger over by sync after the heal. Neither its
