@@ -14,6 +14,7 @@ either a parse failure or a hash mismatch.
 
 from __future__ import annotations
 
+import operator
 import struct
 
 # Upper bound for any length prefix; prevents absurd allocations on corrupt input.
@@ -143,3 +144,21 @@ def check_sorted_key(previous: bytes | None, key: bytes, what: str) -> bytes:
     if previous is not None and key <= previous:
         raise CodecError(f"non-canonical {what}: keys not strictly ascending")
     return key
+
+
+def strictly_ascending(keys: tuple) -> bool:
+    """True iff ``keys`` ascend strictly (so are also free of duplicates)."""
+    return all(map(operator.lt, keys, keys[1:]))
+
+
+def read_sorted_ids(r: Reader, count: int, width: int, what: str) -> tuple:
+    """Read ``count`` fixed-width keys, strictly ascending, as one slice.
+
+    ``count`` comes from a length prefix, so only the bytes left bound it:
+    the slice raises on truncation before the unpack format is built.
+    """
+    blob = r.raw(count * width)
+    keys = struct.unpack(f"{width}s" * count, blob)
+    if not strictly_ascending(keys):
+        raise CodecError(f"non-canonical {what}: keys not strictly ascending")
+    return keys

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 
 from . import signing
-from .codec import CodecError, Reader, Writer, check_sorted_key
+from .codec import CodecError, Reader, Writer, read_sorted_ids, strictly_ascending
 from .ledger import HASH_LEN, Ledger, Transaction, hash32
 
 DEFAULT_THRESHOLDS = (0.50, 0.65, 0.70, 0.80)
@@ -124,7 +124,14 @@ def _check_node_id(node_id: str) -> str:
 
 @dataclass(frozen=True)
 class Proposal:
-    """One node's candidate transaction-id set for the next ledger."""
+    """One node's candidate transaction-id set for the next ledger.
+
+    ``signing_bytes()`` is computed once and kept on the (immutable) object.
+    A decoded proposal keeps the prefix it read, which strict decoding makes
+    the canonical encoding of its unsigned fields, so checking its signature
+    encodes nothing; ``sign_proposal`` hands the bytes it signed to the
+    proposal it returns, for the wire encoding.
+    """
 
     node_id: str
     round: int
@@ -132,26 +139,39 @@ class Proposal:
     tx_ids: tuple  # sorted, deduplicated 32-byte ids
     public_key: bytes = b""
     signature: bytes = b""
+    _signed: Optional[bytes] = field(init=False, default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         _check_node_id(self.node_id)
         ids = tuple(self.tx_ids)
-        if list(ids) != sorted(set(ids)):
+        if not strictly_ascending(ids):
             raise ValueError("proposal tx_ids must be sorted and deduplicated")
-        for tx_id in ids:
-            if len(tx_id) != HASH_LEN:
-                raise ValueError("tx id must be 32 bytes")
+        if any(len(tx_id) != HASH_LEN for tx_id in ids):
+            raise ValueError("tx id must be 32 bytes")
         object.__setattr__(self, "tx_ids", ids)
 
+    @classmethod
+    def _assemble(cls, node_id, round_, ledger_seq, tx_ids, public_key, signature, signed) -> "Proposal":
+        """A proposal from fields already checked and the bytes they encode to."""
+        p = object.__new__(cls)
+        for name, value in (
+            ("node_id", node_id), ("round", round_), ("ledger_seq", ledger_seq),
+            ("tx_ids", tx_ids), ("public_key", public_key), ("signature", signature),
+            ("_signed", signed),
+        ):
+            object.__setattr__(p, name, value)
+        return p
+
     def signing_bytes(self) -> bytes:
-        w = Writer()
-        w.str_(self.node_id)
-        w.u32(self.round)
-        w.u64(self.ledger_seq)
-        w.u32(len(self.tx_ids))
-        for tx_id in self.tx_ids:
-            w.raw(tx_id)
-        return w.getvalue()
+        if self._signed is None:
+            w = Writer()
+            w.str_(self.node_id)
+            w.u32(self.round)
+            w.u64(self.ledger_seq)
+            w.u32(len(self.tx_ids))
+            w.raw(b"".join(self.tx_ids))
+            object.__setattr__(self, "_signed", w.getvalue())
+        return self._signed
 
     def encode_into(self, w: Writer) -> None:
         w.raw(self.signing_bytes())
@@ -160,22 +180,17 @@ class Proposal:
 
     @classmethod
     def decode_from(cls, r: Reader) -> "Proposal":
+        start = r.tell()
         node_id = r.str_()
-        round_ = r.u32()
-        ledger_seq = r.u64()
-        count = r.u32()
-        ids = []
-        prev = None
-        for _ in range(count):
-            tx_id = r.raw(HASH_LEN)
-            prev = check_sorted_key(prev, tx_id, "proposal tx_ids")
-            ids.append(tx_id)
-        public_key = r.bytes_()
-        signature = r.bytes_()
         try:
-            return cls(node_id, round_, ledger_seq, tuple(ids), public_key, signature)
+            _check_node_id(node_id)
         except ValueError as exc:
             raise CodecError(str(exc)) from None
+        round_ = r.u32()
+        ledger_seq = r.u64()
+        tx_ids = read_sorted_ids(r, r.u32(), HASH_LEN, "proposal tx_ids")
+        signed = r.since(start)
+        return cls._assemble(node_id, round_, ledger_seq, tx_ids, r.bytes_(), r.bytes_(), signed)
 
 
 @dataclass(frozen=True)
@@ -219,9 +234,10 @@ class Validation:
 
 
 def sign_proposal(keypair: signing.KeyPair, p: Proposal) -> Proposal:
-    unsigned = Proposal(p.node_id, p.round, p.ledger_seq, p.tx_ids)
-    sig = keypair.sign(unsigned.signing_bytes())
-    return Proposal(p.node_id, p.round, p.ledger_seq, p.tx_ids, keypair.public_key, sig)
+    signed = p.signing_bytes()  # covers no key or signature, so any p will do
+    return Proposal._assemble(
+        p.node_id, p.round, p.ledger_seq, p.tx_ids, keypair.public_key, keypair.sign(signed), signed
+    )
 
 
 def sign_validation(keypair: signing.KeyPair, v: Validation) -> Validation:

@@ -4,7 +4,10 @@ This is the tamper-evident substrate: SQL-shaped operations are wrapped in
 per-account-sequenced, signed transactions; validated transactions are grouped
 into ledgers whose headers chain by hash. Everything hashes over the canonical
 encoding from ``codec``, so every node derives identical digests for identical
-values.
+values. A ``Transaction`` keeps its canonical bytes (``encoded``), so tx
+lists, ledgers, block files and wire frames join them instead of encoding
+each tx again; strict decoding makes the bytes a tx was read from its
+canonical encoding.
 
 Chain verification is two-layered. This module is the storage layer:
 ``parse_stored_chain`` pins every stored block against the
@@ -125,6 +128,7 @@ def literal_matches(value: Literal, col_type: ColumnType) -> bool:
 # UTF-8: exactly codec.Writer's u8 + i64 / u8 + str_.
 _int_literal = functools.partial(struct.Struct(">Bq").pack, 0)  # struct.error out of range
 _TEXT_HEAD = struct.Struct(">BI")
+_COUNT = struct.Struct(">I")  # codec.Writer's u32
 
 
 def _text_literal(value: str) -> bytes:
@@ -408,6 +412,14 @@ class Transaction:
     ``tx_id`` is the hash of the canonical body (account, seq, op); the
     signature covers ``tx_id`` and the embedded public key must hash to the
     account id, so no field can be swapped without detection.
+
+    ``encoded`` is the canonical encoding of the whole tx, body then key and
+    signature, and every encoder joins it instead of encoding the fields
+    again. A constructed tx appends the key and signature to the body it
+    encodes for ``tx_id``; a decoded one keeps the bytes it was read from,
+    which strict decoding makes the canonical encoding of the decoded fields.
+    A tx is immutable, so the bytes cannot go stale, and ``verify_signature``
+    keeps its verdict on the object for the same reason.
     """
 
     account: AccountId
@@ -416,13 +428,22 @@ class Transaction:
     public_key: bytes
     signature: bytes
     tx_id: bytes = field(init=False)
+    encoded: bytes = field(init=False, repr=False, compare=False)
+    _signature_ok: Optional[bool] = field(init=False, default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.seq < 1:
             raise ValueError("transaction seq starts at 1")
-        object.__setattr__(self, "tx_id", hash32(self.body_bytes()))
+        body = self.body_bytes()
+        object.__setattr__(self, "tx_id", hash32(body))
+        w = Writer()
+        w.raw(body)
+        w.bytes_(self.public_key)
+        w.bytes_(self.signature)
+        object.__setattr__(self, "encoded", w.getvalue())
 
     def body_bytes(self) -> bytes:
+        """The canonical body (account, seq, op), encoded from the fields."""
         w = Writer()
         w.raw(self.account.id)
         w.u64(self.seq)
@@ -430,11 +451,7 @@ class Transaction:
         return w.getvalue()
 
     def encode_into(self, w: Writer) -> None:
-        w.raw(self.account.id)
-        w.u64(self.seq)
-        encode_operation(w, self.op)
-        w.bytes_(self.public_key)
-        w.bytes_(self.signature)
+        w.raw(self.encoded)
 
     @classmethod
     def decode_from(cls, r: Reader) -> "Transaction":
@@ -444,15 +461,22 @@ class Transaction:
         if seq < 1:
             raise CodecError("transaction seq must be >= 1")
         op = decode_operation(r)
-        # Strict decoding is injective, so the body bytes just read are the
-        # canonical body: hash them rather than encode the body again. Setting
-        # the fields one by one in field order, as __init__ does, keeps the
-        # instance as small as a constructed one.
+        # Strict decoding is injective, so the bytes just read are the
+        # canonical body, and with the key and signature the canonical tx:
+        # hash and keep them rather than encode again.
         tx_id = hash32(r.since(start))
+        public_key, signature = r.bytes_(), r.bytes_()
+        return cls._assemble(account, seq, op, public_key, signature, tx_id, r.since(start))
+
+    @classmethod
+    def _assemble(cls, account, seq, op, public_key, signature, tx_id, encoded) -> "Transaction":
+        """A tx from checked fields, its id and its encoding. Setting the
+        fields one by one in field order, as __init__ does, keeps the
+        instance as small as a constructed one."""
         tx = object.__new__(cls)
         for name, value in (
-            ("account", account), ("seq", seq), ("op", op),
-            ("public_key", r.bytes_()), ("signature", r.bytes_()), ("tx_id", tx_id),
+            ("account", account), ("seq", seq), ("op", op), ("public_key", public_key),
+            ("signature", signature), ("tx_id", tx_id), ("encoded", encoded), ("_signature_ok", None),
         ):
             object.__setattr__(tx, name, value)
         return tx
@@ -466,23 +490,32 @@ def sign_transaction(keypair: signing.KeyPair, seq: int, op: SqlOperation) -> Tr
     account = AccountId.from_public_key(keypair.public_key)
     unsigned = Transaction(account, seq, op, keypair.public_key, b"")
     sig = keypair.sign(unsigned.tx_id)
-    return Transaction(account, seq, op, keypair.public_key, sig)
+    # The unsigned encoding ends in the empty signature's length prefix.
+    encoded = unsigned.encoded[:-_COUNT.size] + _COUNT.pack(len(sig)) + sig
+    return Transaction._assemble(account, seq, op, keypair.public_key, sig, unsigned.tx_id, encoded)
 
 
 def verify_signature(tx: Transaction) -> bool:
-    """True iff the embedded key matches the account and signs the tx body."""
-    try:
-        if AccountId.from_public_key(tx.public_key) != tx.account:
-            return False
-        return signing.verify(tx.public_key, tx.tx_id, tx.signature)
-    except signing.SigningError:
-        return False
+    """True iff the embedded key matches the account and signs the tx body.
+
+    The verdict is kept on ``tx``: the object is immutable, so checking it
+    again costs an attribute read. It belongs to the object, not to the
+    ``tx_id``: a tx decoded from other bytes is checked afresh.
+    """
+    verdict = tx._signature_ok
+    if verdict is None:
+        try:
+            verdict = AccountId.from_public_key(tx.public_key) == tx.account and signing.verify(
+                tx.public_key, tx.tx_id, tx.signature
+            )
+        except signing.SigningError:
+            verdict = False
+        object.__setattr__(tx, "_signature_ok", verdict)
+    return verdict
 
 
 def serialize_transaction(tx: Transaction) -> bytes:
-    w = Writer()
-    tx.encode_into(w)
-    return w.getvalue()
+    return tx.encoded
 
 
 def deserialize_transaction(data: bytes) -> Transaction:
@@ -534,11 +567,7 @@ class LedgerHeader:
 
 
 def _encode_tx_list(txs: tuple) -> bytes:
-    w = Writer()
-    w.u32(len(txs))
-    for tx in txs:
-        tx.encode_into(w)
-    return w.getvalue()
+    return _COUNT.pack(len(txs)) + b"".join([tx.encoded for tx in txs])
 
 
 def compute_tx_set_hash(txs: Iterable[Transaction]) -> bytes:
@@ -565,9 +594,7 @@ class Ledger:
 
     def encode_into(self, w: Writer) -> None:
         self.header.encode_into(w)
-        w.u32(len(self.txs))
-        for tx in self.txs:
-            tx.encode_into(w)
+        w.raw(_encode_tx_list(self.txs))
 
     @classmethod
     def decode_from(cls, r: Reader) -> "Ledger":

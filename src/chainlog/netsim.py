@@ -20,7 +20,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 
-from .codec import CodecError, Reader, Writer, check_sorted_key
+from .codec import CodecError, Reader, Writer, check_sorted_key, read_sorted_ids, strictly_ascending
 from .consensus import Proposal, Validation
 from .ledger import HASH_LEN, Ledger, Transaction
 
@@ -204,7 +204,7 @@ class TxRequest:
 
     def __post_init__(self) -> None:
         ids = tuple(self.tx_ids)
-        if list(ids) != sorted(set(ids)):
+        if not strictly_ascending(ids):
             raise ValueError("requested tx_ids must be sorted and deduplicated")
         if len(ids) > MAX_TX_REQUEST_IDS:
             raise ValueError(f"a tx request carries at most {MAX_TX_REQUEST_IDS} ids")
@@ -224,12 +224,7 @@ class TxRequest:
         count = r.u32()
         if count > MAX_TX_REQUEST_IDS:
             raise CodecError(f"tx request of {count} ids exceeds {MAX_TX_REQUEST_IDS}")
-        ids = []
-        prev = None
-        for _ in range(count):
-            prev = check_sorted_key(prev, r.raw(HASH_LEN), "requested tx_ids")
-            ids.append(prev)
-        return cls(requester, tuple(ids))
+        return cls(requester, read_sorted_ids(r, count, HASH_LEN, "requested tx_ids"))
 
 
 def _encode_payload(msg) -> bytes:
@@ -241,7 +236,7 @@ def _encode_payload(msg) -> bytes:
 def pack_message(msg) -> bytes:
     """Wrap any protocol message object into a wire frame."""
     if isinstance(msg, Transaction):
-        return encode_wire(MSG_TX_SUBMIT, _encode_payload(msg))
+        return encode_wire(MSG_TX_SUBMIT, msg.encoded)
     if isinstance(msg, Proposal):
         return encode_wire(MSG_PROPOSAL, _encode_payload(msg))
     if isinstance(msg, Validation):

@@ -283,7 +283,7 @@ class Node:
         self._now = now
         self.commit_times: Dict[int, int] = {}  # seq -> sim time of local commit
         self.commit_rounds: Dict[int, int] = {}  # seq -> establish rounds used (own accepts)
-        self._sync_requested: Set[Tuple[str, int]] = set()
+        self._sync_requested: Dict[Tuple[str, int], int] = {}  # (peer, tip) -> sim time asked
         self._fetch_requested: Set[int] = set()
         self._tx_requested: Set[bytes] = set()  # ids asked for since the last tick
         if self.data_dir is not None:
@@ -385,11 +385,17 @@ class Node:
             # The UNL is the trust set; a trusted peer's tip claim bounds
             # how stale our own database may be for the read path.
             self.known_validated_seq = max(self.known_validated_seq, peer_tip)
-        if peer_tip > self.tip.seq and (sender, peer_tip) not in self._sync_requested:
-            self._sync_requested.add((sender, peer_tip))
-            req = LedgerRequest(self.node_id, self.tip.seq + 1, peer_tip)
-            return [(sender, netsim.pack_message(req))]
-        return []
+        if peer_tip <= self.tip.seq:
+            return []
+        # Ask once per (peer, tip), and again once a round has passed without
+        # reaching that tip: the request or its reply may have been lost, and
+        # a quiescent peer's tip never moves to prompt a fresh one.
+        asked = self._sync_requested.get((sender, peer_tip))
+        if asked is not None and now - asked < self.config.consensus.round_interval_ms:
+            return []
+        self._sync_requested[(sender, peer_tip)] = now
+        req = LedgerRequest(self.node_id, self.tip.seq + 1, peer_tip)
+        return [(sender, netsim.pack_message(req))]
 
     def _request_missing_txs(self, peer: str, tx_ids: tuple) -> List[Tuple[str, bytes]]:
         """Ask ``peer`` for the proposed ids whose bytes we lack, once per round."""

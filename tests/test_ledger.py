@@ -2,7 +2,9 @@
 
 import pytest
 
+from chainlog import signing
 from chainlog.codec import CodecError, Writer
+from chainlog.consensus import Unl
 from chainlog.ledger import (
     ACCOUNT_LEN,
     CHAIN_OK,
@@ -44,6 +46,8 @@ from chainlog.ledger import (
     verify_stored_dir,
     write_block_file,
 )
+from chainlog.netsim import pack_message, unpack_message
+from chainlog.node import Node, NodeConfig
 from chainlog.signing import SCHEME_ED25519, account_keypair
 from chainlog.sqlvm import replay_from_genesis
 
@@ -425,3 +429,129 @@ def test_mutated_ledger_blob_never_passes_silently(rng):
         altered = list(chain)
         altered[2] = back
         assert not _verify_chain(altered).ok
+
+
+# ---------------------------------------------------------------------------
+# Byte goldens for the kept encodings
+# ---------------------------------------------------------------------------
+
+# Wire frames of one tx per operation kind, and the block file of a 3-tx
+# ledger, pinned as hex: a tx keeps its encoding and every encoder joins it,
+# so these bytes must not move.
+GOLDEN_TX_FRAMES = {
+    "CreateTable": (
+        "0000008500a762c1d4e1592b6d8d0fcce7c3c7c9761ac88f7300000000000000010000000005706172747300"
+        "0000020000000371747900000000046e616d65010000002101b38203791b2e094730403908cab9d697ffd03d"
+        "8b0a4841e8cc4e13d37bf603130000002079782992ef138a4e79afb5c255c811ce243aea22b3f58c322edb63"
+        "87288e3776"
+    ),
+    "Insert": (
+        "0000009800a762c1d4e1592b6d8d0fcce7c3c7c9761ac88f7300000000000000020200000005706172747300"
+        "000002000000046e616d650100000007626f6c7420c3a90000000371747900fffffffffffffff90000002101"
+        "b38203791b2e094730403908cab9d697ffd03d8b0a4841e8cc4e13d37bf6031300000020f90282063f323538"
+        "0cc0fa8c51a733ef1d5f82428af38cda7b7c07ca2d695f94"
+    ),
+    "Update": (
+        "0000009c00a762c1d4e1592b6d8d0fcce7c3c7c9761ac88f7300000000000000030300000005706172747300"
+        "000001000000046e616d650100000007626f6c7420c3a9000000010000000371747900000001000000000000"
+        "00002101b38203791b2e094730403908cab9d697ffd03d8b0a4841e8cc4e13d37bf6031300000020791c682b"
+        "3fae85e008f4f9dd69b1de39b5a4d45388b3966923b1bc8dc8598dbf"
+    ),
+    "Delete": (
+        "0000009400a762c1d4e1592b6d8d0fcce7c3c7c9761ac88f7300000000000000040400000005706172747300"
+        "00000200000003717479000000000000000003000000046e616d6501000000036e75740000002101b3820379"
+        "1b2e094730403908cab9d697ffd03d8b0a4841e8cc4e13d37bf6031300000020dcf03201ff056f5b246e415e"
+        "becdce773debab984108a41e52f46a42ee0ffb0c"
+    ),
+    "Grant": (
+        "0000008500a762c1d4e1592b6d8d0fcce7c3c7c9761ac88f7300000000000000050500000005706172747316"
+        "8faa9060eca45010b540713d629ed71ed007ee050000002101b38203791b2e094730403908cab9d697ffd03d"
+        "8b0a4841e8cc4e13d37bf603130000002098b08798873b8b04033b8798abdf2f3835faea80fd5fc2c048e0ca"
+        "04638b7e3d"
+    ),
+    "DropTable": (
+        "0000007000a762c1d4e1592b6d8d0fcce7c3c7c9761ac88f7300000000000000060100000005706172747300"
+        "00002101b38203791b2e094730403908cab9d697ffd03d8b0a4841e8cc4e13d37bf6031300000020e40b9447"
+        "616cdc4457edbe70864abf1f34d41e3d91c5aa071d873ab1d03194f7"
+    ),
+}
+GOLDEN_BLOCK_FILE = (
+    "0000022a000000000000000179efdca9c52b948ebecc6dfc51f5b7aa97f8cbdf0cf17822ab0110669b3ef02b"
+    "b6a197f6d3ed40065daa23969a723aa61113550e068fb7fcfecacdfdaaf0fe2f222222222222222222222222"
+    "222222222222222222222222222222222222222200000000000003ed00000003a762c1d4e1592b6d8d0fcce7"
+    "c3c7c9761ac88f73000000000000000100000000057061727473000000020000000371747900000000046e61"
+    "6d65010000002101b38203791b2e094730403908cab9d697ffd03d8b0a4841e8cc4e13d37bf6031300000020"
+    "79782992ef138a4e79afb5c255c811ce243aea22b3f58c322edb6387288e3776a762c1d4e1592b6d8d0fcce7"
+    "c3c7c9761ac88f7300000000000000020200000005706172747300000002000000046e616d65010000000762"
+    "6f6c7420c3a90000000371747900fffffffffffffff90000002101b38203791b2e094730403908cab9d697ff"
+    "d03d8b0a4841e8cc4e13d37bf6031300000020f90282063f3235380cc0fa8c51a733ef1d5f82428af38cda7b"
+    "7c07ca2d695f94a762c1d4e1592b6d8d0fcce7c3c7c9761ac88f730000000000000003030000000570617274"
+    "7300000001000000046e616d650100000007626f6c7420c3a900000001000000037174790000000100000000"
+    "000000002101b38203791b2e094730403908cab9d697ffd03d8b0a4841e8cc4e13d37bf6031300000020791c"
+    "682b3fae85e008f4f9dd69b1de39b5a4d45388b3966923b1bc8dc8598dbf"
+)
+
+
+def _golden_txs():
+    owner, other = account_keypair("golden-owner"), account_keypair("golden-other")
+    ops = (
+        CreateTable("parts", (("qty", ColumnType.INT), ("name", ColumnType.TEXT))),
+        Insert("parts", {"qty": -7, "name": "bolt \u00e9"}),
+        Update("parts", (("name", "bolt \u00e9"),), {"qty": 1 << 40}),
+        Delete("parts", (("qty", 3), ("name", "nut"))),
+        Grant("parts", AccountId.from_public_key(other.public_key), frozenset({Perm.SELECT, Perm.UPDATE})),
+        DropTable("parts"),
+    )
+    return [sign_transaction(owner, seq, op) for seq, op in enumerate(ops, 1)]
+
+
+def _golden_ledger():
+    parent = genesis_ledger(b"\x11" * 32, close_time=5).header
+    return build_ledger(parent, _golden_txs()[:3], b"\x22" * 32, 1005)
+
+
+def test_tx_frame_and_block_file_goldens():
+    txs = _golden_txs()
+    assert [type(tx.op).__name__ for tx in txs] == list(GOLDEN_TX_FRAMES)
+    for tx, golden in zip(txs, GOLDEN_TX_FRAMES.values()):
+        frame = pack_message(tx)
+        assert frame.hex() == golden
+        decoded = unpack_message(frame)
+        assert decoded == tx and pack_message(decoded) == frame
+        assert decoded.encoded == tx.encoded == serialize_transaction(tx) == frame[5:]
+        fresh = Transaction(decoded.account, decoded.seq, decoded.op, decoded.public_key, decoded.signature)
+        assert fresh.encoded == decoded.encoded
+    block = block_file_bytes(_golden_ledger())
+    assert block.hex() == GOLDEN_BLOCK_FILE
+    parsed = parse_block_file(block)
+    assert block_file_bytes(parsed) == block
+    for tx in parsed.txs:
+        assert pack_message(tx).hex() == GOLDEN_TX_FRAMES[type(tx.op).__name__]
+
+
+def test_signature_verdict_belongs_to_the_tx_object(monkeypatch):
+    # verify_signature keeps its verdict on the tx object. A frame that
+    # differs from a verified one only in a signature byte decodes to a new
+    # object with the same tx_id, which is checked afresh and rejected.
+    frame = pack_message(_golden_txs()[1])
+    tx = unpack_message(frame)
+    calls = []
+    real_verify = signing.verify
+
+    def verify(*args):
+        calls.append(args[1])
+        return real_verify(*args)
+
+    monkeypatch.setattr(signing, "verify", verify)
+    assert verify_signature(tx) and verify_signature(tx)
+    assert calls == [tx.tx_id]
+    forged_frame = frame[:-1] + bytes([frame[-1] ^ 1])
+    forged = unpack_message(forged_frame)
+    assert forged.tx_id == tx.tx_id and forged.signature != tx.signature
+    assert not verify_signature(forged) and not verify_signature(forged)
+    assert calls == [tx.tx_id, tx.tx_id]
+    solo = Node(NodeConfig(node_id="solo", unl=Unl(())))
+    assert solo.on_message(0, "client", forged_frame) == []
+    assert solo.submit_transaction(unpack_message(forged_frame)).reason == "bad_signature"
+    assert solo.submit_transaction(tx).status == "accepted"
+    assert len(calls) == 4  # the fresh forged object is checked; the verified tx is not

@@ -3,9 +3,9 @@
 import pytest
 
 from chainlog import signing
-from chainlog.codec import CodecError, Writer
+from chainlog.codec import CodecError, Reader, Writer, check_sorted_key
 from chainlog.consensus import Proposal, sign_proposal, validator_keypair
-from chainlog.ledger import Insert
+from chainlog.ledger import HASH_LEN, Insert
 from chainlog.netsim import (
     MAX_TX_REQUEST_IDS,
     MSG_INFO,
@@ -142,6 +142,110 @@ def test_tx_frames_reencode_to_themselves(rng):
         decoded += 1
         assert pack_message(msg) == bytes(mutated)
     assert decoded >= 300  # most flips land in values, keys and signatures
+
+
+# The per-id decoders these messages had before ``codec.read_sorted_ids``,
+# kept as the reference the one-slice decoders must agree with.
+
+
+def _reference_decode_proposal(r):
+    node_id = r.str_()
+    round_ = r.u32()
+    ledger_seq = r.u64()
+    count = r.u32()
+    ids = []
+    prev = None
+    for _ in range(count):
+        tx_id = r.raw(HASH_LEN)
+        prev = check_sorted_key(prev, tx_id, "proposal tx_ids")
+        ids.append(tx_id)
+    public_key = r.bytes_()
+    signature = r.bytes_()
+    try:
+        return Proposal(node_id, round_, ledger_seq, tuple(ids), public_key, signature)
+    except ValueError as exc:
+        raise CodecError(str(exc)) from None
+
+
+def _reference_decode_tx_request(r):
+    requester = r.str_()
+    count = r.u32()
+    if count > MAX_TX_REQUEST_IDS:
+        raise CodecError(f"tx request of {count} ids exceeds {MAX_TX_REQUEST_IDS}")
+    ids = []
+    prev = None
+    for _ in range(count):
+        prev = check_sorted_key(prev, r.raw(HASH_LEN), "requested tx_ids")
+        ids.append(prev)
+    return TxRequest(requester, tuple(ids))
+
+
+def _decoded_or_none(decode, payload):
+    r = Reader(payload)
+    try:
+        msg = decode(r)
+        r.finish()
+    except CodecError:
+        return None
+    return msg
+
+
+def _id_variants(ids):
+    """``ids`` itself, then copies with one id swapped with its successor,
+    duplicated over its successor, or one byte short."""
+    yield list(ids)
+    for j in range(len(ids)):
+        if j + 1 < len(ids):
+            yield ids[:j] + [ids[j + 1], ids[j]] + ids[j + 2:]
+            yield ids[:j + 1] + [ids[j]] + ids[j + 2:]
+        yield ids[:j] + [ids[j][:-1]] + ids[j + 1:]
+
+
+def test_one_slice_id_decoders_match_per_id_reference(rng):
+    # Over random proposals and tx requests, every truncation of each, and
+    # copies with one id swapped, duplicated or shortened, the decoders
+    # accept and reject the same payloads and return equal messages.
+    kp = validator_keypair("n1")
+    checked = accepted = 0
+    for trial in range(24):
+        ids = sorted({rng.randbytes(HASH_LEN) for _ in range(rng.choice((0, 1, 2, 5, 17)))})
+        node_id = rng.choice(("n1", "", "n" * 64, "n" * 65, "n\u00e9"))
+        round_, seq = rng.randrange(1 << 32), rng.randrange(1 << 64)
+        sig = kp.sign(rng.randbytes(8))
+        for variant in _id_variants(ids):
+            w = Writer()
+            w.str_(node_id)
+            w.u32(round_)
+            w.u64(seq)
+            w.u32(len(variant))
+            w.raw(b"".join(variant))
+            signed = w.getvalue()
+            w.bytes_(kp.public_key)
+            w.bytes_(sig)
+            proposal = w.getvalue()
+            w = Writer()
+            w.str_(node_id)
+            w.u32(len(variant) + (trial % 3 == 0) * MAX_TX_REQUEST_IDS)
+            w.raw(b"".join(variant))
+            request = w.getvalue()
+            for payload, new, old in (
+                (proposal, Proposal.decode_from, _reference_decode_proposal),
+                (request, TxRequest.decode_from, _reference_decode_tx_request),
+            ):
+                cuts = range(len(payload) + 1) if variant == ids else (len(payload),)
+                for cut in cuts:
+                    got = _decoded_or_none(new, payload[:cut])
+                    assert got == _decoded_or_none(old, payload[:cut]), (trial, cut)
+                    checked += 1
+                    if got is None:
+                        continue
+                    accepted += 1
+                    assert pack_message(got)[5:] == payload[:cut]
+                    if isinstance(got, Proposal):
+                        assert got.signing_bytes() == signed
+                        fresh = Proposal(got.node_id, got.round, got.ledger_seq, got.tx_ids)
+                        assert fresh.signing_bytes() == signed
+    assert checked > 5000 and accepted >= 20, (checked, accepted)
 
 
 def test_info_helpers():

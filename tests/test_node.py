@@ -1,10 +1,11 @@
 """Node runtime: config, submit/read paths, sync, pruning, and fault behavior."""
 
 import json
+from collections import Counter
 
 import pytest
 
-from chainlog import netsim, sqlvm
+from chainlog import netsim, signing, sqlvm
 from chainlog.consensus import ConsensusConfig, ConsensusPhase, Unl
 from chainlog.ledger import (
     AccountId,
@@ -269,6 +270,43 @@ def test_tx_frames_delivered_at_most_sixteen_per_tx(monkeypatch):
     net.run_for(5000)
     assert delivered <= 16 * len(txs), delivered
     assert all(chain_occurrences(n, tx.tx_id) == 1 for n in nodes for tx in txs)
+
+
+def test_tx_signatures_verified_once_per_node(monkeypatch):
+    # Counts only: a node checks a tx's signature when it admits the tx and
+    # verify_signature keeps the verdict on the tx object, so the node's
+    # ledger build re-checks it at lookup cost (it verified each tx twice).
+    net, nodes = build_cluster(5, seed=43)
+    kp = account("verifier")
+    run_until_committed(net, nodes, [submit(net, nodes[0], kp, 1, CreateTable("t", SCHEMA)).tx_id])
+    txs = [make_tx(kp, i + 2, Insert("t", {"qty": i, "name": "a"})) for i in range(20)]
+    tx_ids = {tx.tx_id for tx in txs}
+    current = []
+    verifies = Counter()
+    real_verify = signing.verify
+
+    def verify(public_key, message, signature):
+        if message in tx_ids:
+            verifies[(current[-1], message)] += 1
+        return real_verify(public_key, message, signature)
+
+    def in_node(real):
+        def wrapper(node, *args):
+            current.append(node.node_id)
+            try:
+                return real(node, *args)
+            finally:
+                current.pop()
+        return wrapper
+
+    monkeypatch.setattr(signing, "verify", verify)
+    for name in ("on_message", "on_timer", "submit_transaction"):
+        monkeypatch.setattr(Node, name, in_node(getattr(Node, name)))
+    for i, tx in enumerate(txs):
+        assert submit_via(net, nodes[i % 5].node_id, tx).ok
+    run_until_committed(net, nodes, tx_ids)
+    net.run_for(5000)
+    assert verifies == Counter({(n.node_id, i): 1 for n in nodes for i in tx_ids})
 
 
 @pytest.mark.parametrize("lost_replies", [0, 1])
@@ -952,3 +990,34 @@ def test_join_from_pruned_partial_peer_uses_checkpoint(tmp_path):
     assert observer_cp.tip.hash() == observer_full.tip.hash()
     assert state_hash(observer_cp.store) == state_hash(observer_full.store)
     assert observer_cp.voting
+
+
+def test_lagging_node_retries_heartbeat_sync_request():
+    # n5 loses the validations of one ledger and every LedgerData reply to
+    # its heartbeat-triggered requests. Once the loss stops, the peers stay
+    # quiescent (no new txs, so their tip and heartbeats never change), and
+    # n5 catches up only because it asks again after a round without
+    # progress.
+    net, nodes = build_cluster(5, seed=53)
+    kp = account("laggard")
+    run_until_committed(net, nodes, [submit(net, nodes[0], kp, 1, CreateTable("t", SCHEMA)).tx_id])
+    target = nodes[4]
+    requests = []
+
+    def hook(frm, to, payload):
+        if frm == target.node_id and payload[4] == netsim.MSG_LEDGER_REQUEST:
+            requests.append(to)
+        if to == target.node_id and payload[4] in (netsim.MSG_VALIDATION, netsim.MSG_LEDGER_DATA):
+            return payload[:-1]  # truncated: fails to decode
+        return payload
+
+    net.transit_hook = hook
+    tx = submit(net, nodes[0], kp, 2, Insert("t", {"qty": 1, "name": "a"}))
+    run_until_committed(net, nodes[:4], [tx.tx_id])
+    net.run_for(3000)
+    tip = nodes[0].tip.seq
+    assert target.tip.seq == tip - 1 and requests, (target.tip.seq, tip, requests)
+    net.transit_hook = None
+    assert net.run_until(lambda _n: target.tip.seq == tip, net.now + 4000).satisfied
+    assert all(n.tip.seq == tip for n in nodes)
+    assert target.committed_state_hash() == nodes[0].committed_state_hash()
