@@ -25,12 +25,17 @@ re-encoded, and since the entry holds its dict alive no other dict can take
 its identity. That also keeps the cache right for tables built directly
 rather than through ``apply_op``.
 
-A WHERE (conjunctive equality) is one pass over the table's rows: the first
-predicate is tested on every row, the rest only on the rows that pass it, and
-the matched ids are sorted. There is no secondary index: every node holds
-several stores (committed, the ledger it builds, sync and audit copies), and
-per-store index copies cost +36% peak RSS on the 10k-row ``bigtable``
-benchmark for a read path that is already well under a millisecond there.
+A WHERE (conjunctive equality) is answered from an equality index on one of
+its columns, ``value -> bucket``, where a bucket is a bare row_id or a tuple
+of two or more row_ids in ascending order; the other predicates filter that
+bucket. A table builds the index of a column from its current rows the first
+time a WHERE names it, so loading a store builds none. From then on
+``_apply_checked`` keeps every index the table holds: that is sound because
+rows are never mutated in place and ``table.rows`` changes only there.
+``Table.clone`` copies each index dict and shares its buckets, which are
+immutable, so a clone starts with its parent's indexes and the node's commit
+adopts them with the rows. The copies are derived data, never encoded or
+hashed; on the 10k-row ``bigtable`` benchmark they cost about 4% peak RSS.
 
 The state encoding behind ``state_hash`` and ``serialize_store`` joins the
 cached row bytes into one ``bytearray`` and is byte-identical to ``codec``'s
@@ -147,7 +152,7 @@ class Row:
 class Table:
     """One table: schema, ownership, grants, and rows keyed by row_id."""
 
-    __slots__ = ("name", "columns", "owner", "grants", "rows", "next_row_id", "_types", "_encoded")
+    __slots__ = ("name", "columns", "owner", "grants", "rows", "next_row_id", "_types", "_encoded", "_index")
 
     def __init__(
         self,
@@ -166,6 +171,7 @@ class Table:
         self.next_row_id = next_row_id
         self._types = dict(columns)
         self._encoded: dict = {}  # row_id -> (row dict, row bytes), shared by clones
+        self._index: dict = {}  # column -> {value: bucket}, built on the first WHERE
 
     def column_type(self, column: str) -> Optional[ColumnType]:
         return self._types.get(column)
@@ -179,6 +185,7 @@ class Table:
         # Row dicts are never mutated in place, so they are shared.
         out = Table(self.name, self.columns, self.owner, dict(self.grants), dict(self.rows), self.next_row_id)
         out._encoded = self._encoded
+        out._index = {col: dict(index) for col, index in self._index.items()}  # buckets are shared
         return out
 
 
@@ -362,18 +369,71 @@ def _check_where(table: Table, where: tuple) -> Optional[str]:
     return None
 
 
+def _build_index(table: Table, col: str) -> dict:
+    rows = table.rows
+    rids = sorted(rows)  # linear on a reachable store, whose rows are in order
+    values = [rows[rid][col] for rid in rids]
+    index = dict(zip(values, rids))  # each value -> its last row_id
+    if len(index) < len(rids):  # some values repeat: their buckets are tuples
+        groups: dict = {}
+        for value, rid in zip(values, rids):
+            groups.setdefault(value, []).append(rid)
+        index.update((value, tuple(ids)) for value, ids in groups.items() if len(ids) > 1)
+    return index
+
+
+def _bucket_ids(bucket) -> tuple:
+    return bucket if type(bucket) is tuple else (bucket,)
+
+
+def _set_bucket(index: dict, value, rids) -> None:
+    # A bucket is a bare row_id or a tuple of two or more; an empty one goes.
+    if len(rids) > 1:
+        index[value] = tuple(rids)
+    elif rids:
+        index[value] = rids[0]
+    else:
+        del index[value]
+
+
+def _index_add(index: dict, value, rids: tuple) -> None:
+    """Put ascending ``rids`` into ``value``'s bucket, keeping it ascending."""
+    have = index.get(value)
+    if have is not None:
+        have = _bucket_ids(have)
+        # An INSERT's row_id is above every row, so only a moved row sorts.
+        rids = have + rids if have[-1] < rids[0] else sorted(have + rids)
+    _set_bucket(index, value, rids)
+
+
+def _index_drop(index: dict, rows: dict, col: str, rids: list) -> None:
+    """Take ``rids`` out of the buckets of their current ``col`` values."""
+    gone: dict = {}
+    for rid in rids:
+        gone.setdefault(rows[rid][col], set()).add(rid)
+    for value, drop in gone.items():
+        _set_bucket(index, value, [rid for rid in _bucket_ids(index[value]) if rid not in drop])
+
+
 def _match_rows(table: Table, where: tuple) -> list:
-    # Conjunctive equality in one pass over the rows; empty where matches
-    # every row. A reachable store keeps its rows in row_id order, so the
-    # sort is linear; it still orders a table built with rows out of order.
+    # Conjunctive equality: candidates from the index of one predicate (the
+    # first whose column is indexed, else the first, building its index),
+    # filtered by the others. Buckets ascend, so the ids come out in order.
     if not where:
         return sorted(table.rows)
-    (col, lit), rest = where[0], where[1:]
+    indexes = table._index
+    pick = next((i for i, (col, _) in enumerate(where) if col in indexes), 0)
+    col, lit = where[pick]
+    index = indexes.get(col)
+    if index is None:
+        index = indexes[col] = _build_index(table, col)
+    bucket = index.get(lit)
+    if bucket is None:
+        return []
+    out = list(_bucket_ids(bucket))
     rows = table.rows
-    out = [rid for rid, vals in rows.items() if vals[col] == lit]
-    for col, lit in rest:
+    for col, lit in where[:pick] + where[pick + 1:]:
         out = [rid for rid in out if rows[rid][col] == lit]
-    out.sort()
     return out
 
 
@@ -418,7 +478,10 @@ def _apply_checked(store: TableStore, tx: Transaction) -> ApplyResult:
         for col, lit in op.values.items():
             if not literal_matches(lit, table.column_type(col)):
                 return Rejected(REJECT_TYPE_MISMATCH)
-        table.rows[table.next_row_id] = dict(op.values)
+        rid = table.next_row_id
+        for col, index in table._index.items():
+            _index_add(index, op.values[col], (rid,))
+        table.rows[rid] = dict(op.values)
         table.next_row_id += 1
         return Applied(rows_changed=1)
 
@@ -434,6 +497,13 @@ def _apply_checked(store: TableStore, tx: Transaction) -> ApplyResult:
             return Rejected(reason)
         matched = _match_rows(table, op.where)
         rows = table.rows
+        for col, index in table._index.items():
+            if col in op.set_values:
+                value = op.set_values[col]
+                moved = [rid for rid in matched if rows[rid][col] != value]
+                if moved:
+                    _index_drop(index, rows, col, moved)
+                    _index_add(index, value, tuple(moved))
         for rid in matched:
             rows[rid] = {**rows[rid], **op.set_values}  # a new dict: clones share the old one
         return Applied(rows_changed=len(matched))
@@ -443,6 +513,8 @@ def _apply_checked(store: TableStore, tx: Transaction) -> ApplyResult:
     if reason is not None:
         return Rejected(reason)
     matched = _match_rows(table, op.where)
+    for col, index in table._index.items():
+        _index_drop(index, table.rows, col, matched)
     for rid in matched:
         del table.rows[rid]
         table._encoded.pop(rid, None)
@@ -586,7 +658,11 @@ def rollback_pending(store: TableStore) -> None:
 def query_select(
     store: TableStore, table: str, where: tuple, as_account: AccountId
 ) -> list:
-    """Rows matching all equality predicates, ordered by row_id. Pure read."""
+    """Rows matching all equality predicates, ordered by row_id.
+
+    A pure read of the content: it may build the index of a WHERE column,
+    which is derived data that no encoding or hash sees.
+    """
     t = store.tables.get(table)
     if t is None:
         raise QueryError(REJECT_NO_SUCH_TABLE, table)

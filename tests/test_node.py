@@ -7,10 +7,12 @@ import pytest
 
 from chainlog import netsim, signing, sqlvm
 from chainlog.consensus import ConsensusConfig, ConsensusPhase, Unl
+from chainlog import ledger as lgr
 from chainlog.ledger import (
     AccountId,
     ColumnType,
     CreateTable,
+    Delete,
     Insert,
     Transaction,
     Update,
@@ -184,6 +186,55 @@ def test_state_hash_calls_per_committed_ledger(monkeypatch):
     assert calls["clone"] == 5 * ledgers, (calls, ledgers)
     assert calls["begin"] == 0 and calls["rollback"] == 0, calls
     assert calls["state_hash"] <= 2 * 5 * ledgers, (calls, ledgers)
+
+
+def test_where_index_built_once_per_node_store(monkeypatch, tmp_path):
+    # Five nodes boot from a data dir checkpointed at a 2k-row table, which
+    # builds no index, then commit 20 ledgers of UPDATE/DELETE by key. Each
+    # node builds the ``k`` index once: every ledger is built on a clone of
+    # the committed store that carries the index, and the commit adopts it.
+    kp = account("indexer")
+    batches = [
+        [make_tx(kp, 1, CreateTable("big", SCHEMA))],
+        [make_tx(kp, seq, Insert("big", {"qty": seq, "name": "x"})) for seq in range(2, 2002)],
+    ]
+    store = sqlvm.TableStore()
+    chain = [lgr.genesis_ledger(state_hash(store))]
+    for batch in batches:
+        assert all(sqlvm.apply_op(store, tx).ok for tx in batch)
+        store.applied_ledger_seq += 1
+        parent = chain[-1].header
+        chain.append(lgr.build_ledger(parent, batch, state_hash(store), parent.close_time + 1000))
+    checkpoint = sqlvm.make_checkpoint(store)
+    for name in ("n1", "n2", "n3", "n4", "n5"):
+        (tmp_path / name).mkdir()
+        for ledger in chain:
+            lgr.write_block_file(tmp_path / name, ledger)
+            lgr.append_manifest(tmp_path / name, ledger.seq, ledger.header.hash())
+        sqlvm.write_checkpoint_file(tmp_path / name, checkpoint)
+
+    builds = Counter()
+    real_build = sqlvm._build_index
+
+    def counting_build(table, col):
+        builds[col] += 1
+        return real_build(table, col)
+
+    monkeypatch.setattr(sqlvm, "_build_index", counting_build)
+    net, nodes = build_cluster(5, seed=31, data_root=tmp_path)
+    assert [n.tip.seq for n in nodes] == [2] * 5
+    assert not builds
+    seq = 2002
+    for i in range(20):
+        update = submit(net, nodes[i % 5], kp, seq, Update("big", (("qty", 2 + 2 * i),), {"name": "y"}))
+        delete = submit(net, nodes[i % 5], kp, seq + 1, Delete("big", (("qty", 3 + 2 * i),)))
+        run_until_committed(net, nodes, [update.tx_id, delete.tx_id])
+        seq += 2
+    run_until_tip(net, nodes, max(n.tip.seq for n in nodes))
+    assert min(n.tip.seq for n in nodes) >= 22
+    assert len({n.committed_state_hash() for n in nodes}) == 1
+    assert len(nodes[0].store.tables["big"].rows) == 2000 - 20
+    assert set(builds) == {"qty"} and builds["qty"] <= len(nodes), builds
 
 
 def test_tx_frames_decoded_at_most_once_per_node(monkeypatch):

@@ -1,5 +1,6 @@
 """Deterministic replay: apply semantics, state hashing, overlays, checkpoints."""
 
+import copy
 import hashlib
 import random
 
@@ -28,6 +29,7 @@ from chainlog.sqlvm import (
     Rejected,
     Table,
     TableStore,
+    _match_rows,
     apply_ledger,
     apply_op,
     begin_pending,
@@ -685,3 +687,172 @@ def test_row_cache_stays_coherent_across_clones_and_overlays():
                 assert serialize_store(store) == reference_snapshot(store)
             for each, _ in lineages:
                 assert state_hash(each) == reference_state_hash(each)
+
+
+# ---------------------------------------------------------------------------
+# The WHERE index against a full scan
+# ---------------------------------------------------------------------------
+
+KV = (("k", ColumnType.INT), ("tag", ColumnType.TEXT))
+TAGS = ("a", "b", "c")
+
+
+class _Kv:
+    """A store holding alice's ``kv`` table (``k`` unique, ``tag`` one of
+    TAGS), its reference executor, and every ``k`` value ever written."""
+
+    def __init__(self, store, ref, seqs, keys):
+        self.store, self.ref, self.seqs, self.keys = store, ref, seqs, keys
+
+    @classmethod
+    def fresh(cls, rows):
+        kv = cls(TableStore(), RefExecutor(), {}, set())
+        kv.apply(CreateTable("kv", KV))
+        for k in range(rows):
+            kv.apply(Insert("kv", {"k": k, "tag": TAGS[k % len(TAGS)]}))
+        return kv
+
+    def clone(self):
+        return _Kv(self.store.clone(), copy.deepcopy(self.ref), dict(self.seqs), set(self.keys))
+
+    def apply(self, op, signer=ALICE, skip=0):
+        seq = self.seqs.get(signer, 0) + 1 + skip
+        result = apply_op(self.store, make_tx(signer, seq, op))
+        ok, reason = self.ref.apply(AccountId.from_public_key(signer.public_key), seq, op)
+        assert (result.ok, getattr(result, "reason", None)) == (ok, reason), op
+        if ok:
+            self.seqs[signer] = seq
+            cells = op.values if isinstance(op, Insert) else getattr(op, "set_values", {})
+            self.keys.update(v for c, v in cells.items() if c == "k")
+        return result
+
+    def check(self):
+        # Every WHERE on either column, alone, paired and empty, gives the
+        # ids a full scan gives, ascending, and query_select the reference rows.
+        t = self.store.tables["kv"]
+        keys = sorted(self.keys | {-1})
+        tags = TAGS + ("zz",)
+        wheres = [(), (("k", keys[0]), ("k", keys[-1]))]
+        wheres += [(("k", k),) for k in keys] + [(("tag", tag),) for tag in tags]
+        wheres += [(("tag", tags[k % 4]), ("k", k)) for k in keys]
+        wheres += [(("k", k), ("tag", tags[k % 3])) for k in keys]
+        for where in wheres:
+            scan = [rid for rid in sorted(t.rows) if all(t.rows[rid][c] == v for c, v in where)]
+            assert _match_rows(t, where) == scan, where
+            got = query_select(self.store, "kv", where, ALICE_ID)
+            assert [r.row_id for r in got] == scan, where
+            assert [(r.row_id, r.values) for r in got] == self.ref.select(ALICE_ID.hex, "kv", where), where
+
+
+def _random_op(pick, kv, kinds):
+    rows = kv.store.tables["kv"].rows
+    live = sorted(vals["k"] for vals in rows.values())
+    dead = sorted(kv.keys - set(live))
+    fresh = max(kv.keys) + 1
+    kind = pick.choice(kinds) if live else "insert"
+    k, tag, other = pick.choice(live or [fresh]), pick.choice(TAGS), pick.choice(TAGS)
+    if kind == "insert":
+        return Insert("kv", {"k": fresh, "tag": tag})
+    if kind == "rewrite_key":  # the WHERE column itself, at times to its own value
+        return Update("kv", (("k", k),), {"k": pick.choice((fresh, fresh, k))})
+    if kind == "set_tag":  # one row, or every row of one tag
+        where = pick.choice(((("k", k),), (("tag", other),)))
+        return Update("kv", where, {"tag": tag})
+    if kind == "delete":
+        return Delete("kv", (("k", k),))
+    if kind == "reinsert":
+        return Insert("kv", {"k": pick.choice(dead), "tag": tag}) if dead else Delete("kv", (("k", k),))
+    assert kind == "multi"
+    return pick.choice((
+        Update("kv", (("tag", other), ("k", k)), {"tag": tag, "k": fresh}),
+        Update("kv", (("k", k), ("tag", other)), {"tag": tag}),
+        Delete("kv", (("tag", other), ("k", k))),
+        Update("kv", (), {"tag": tag}),
+        Delete("kv", ()) if pick.random() < 0.2 else Update("kv", (), {"k": fresh}),
+    ))
+
+
+ALL_KINDS = ("insert", "rewrite_key", "set_tag", "delete", "reinsert", "multi")
+INDEX_CASES = {
+    "insert": ("insert",),
+    "update_where_column": ("insert", "rewrite_key"),
+    "update_other_column": ("insert", "set_tag"),
+    "delete_then_reinsert": ("insert", "delete", "reinsert"),
+    "multi_and_empty_where": ("insert", "multi"),
+    "sibling_clones": ALL_KINDS,
+    "rows_out_of_order": ALL_KINDS,
+}
+
+
+@pytest.mark.parametrize("case", sorted(INDEX_CASES))
+def test_where_index_matches_full_scan(case):
+    # Random op sequences keep every index a table holds: after each step
+    # every WHERE equals a full scan and the reference executor.
+    for trial in range(3):
+        pick = random.Random(f"{case}:{trial}")
+        base = _Kv.fresh(12)
+        if case == "rows_out_of_order":
+            t = base.store.tables["kv"]
+            rows = dict(reversed(list(t.rows.items())))
+            base.store.tables["kv"] = Table("kv", t.columns, t.owner, t.grants, rows, t.next_row_id)
+        lineages = [base]
+        if case == "sibling_clones":
+            base.check()  # build both indexes, then let two clones diverge
+            lineages = [base.clone(), base.clone()]
+            before = serialize_store(base.store)
+        for _ in range(25):
+            for kv in lineages:
+                kv.apply(_random_op(pick, kv, INDEX_CASES[case]))
+                kv.check()
+        if case == "sibling_clones":
+            base.check()
+            assert serialize_store(base.store) == before
+            assert len({serialize_store(kv.store) for kv in lineages}) == 2
+
+
+@pytest.mark.parametrize("kind", ["insert", "update", "delete"])
+@pytest.mark.parametrize("reason", ["bad_seq", "missing_column", "type_mismatch", "permission_denied"])
+def test_rejected_op_leaves_where_index_intact(reason, kind):
+    # A reject after the indexes are built changes no index: every later
+    # WHERE, also after more accepted ops, still equals the scan.
+    ops = {
+        "insert": Insert("kv", {"k": 3, "tag": "b"}),
+        "update": Update("kv", (("k", 3),), {"k": 50, "tag": "a"}),
+        "delete": Delete("kv", (("k", 3),)),
+    }
+    bad = {
+        ("missing_column", "insert"): Insert("kv", {"k": 50}),
+        ("missing_column", "update"): Update("kv", (("k", 3), ("nope", 1)), {"k": 50}),
+        ("missing_column", "delete"): Delete("kv", (("k", 3), ("nope", 1))),
+        ("type_mismatch", "insert"): Insert("kv", {"k": "50", "tag": "a"}),
+        ("type_mismatch", "update"): Update("kv", (("k", 3),), {"k": "50"}),
+        ("type_mismatch", "delete"): Delete("kv", (("k", 3), ("tag", 1))),
+    }
+    kv = _Kv.fresh(12)
+    kv.check()
+    op = bad.get((reason, kind), ops[kind])
+    signer = BOB if reason == "permission_denied" else ALICE
+    before = serialize_store(kv.store)
+    assert kv.apply(op, signer, skip=reason == "bad_seq") == Rejected(reason)
+    assert serialize_store(kv.store) == before
+    kv.check()
+    pick = random.Random(f"{reason}:{kind}")
+    for _ in range(5):
+        kv.apply(_random_op(pick, kv, ALL_KINDS))
+        kv.check()
+
+
+def test_query_select_may_build_an_index_but_leaves_the_content():
+    kv = _Kv.fresh(12)
+    store, t = kv.store, kv.store.tables["kv"]
+    assert not t._index
+    before = serialize_store(store), state_hash(store)
+    got = query_select(store, "kv", (("tag", "b"), ("k", 4)), ALICE_ID)
+    assert [(r.row_id, r.values) for r in got] == [(5, {"k": 4, "tag": "b"})]
+    assert set(t._index) == {"tag"}  # the first predicate's column; "k" filters
+    assert (serialize_store(store), state_hash(store)) == before
+    # Loading a store builds no index, however the source was read.
+    kv.check()
+    for loaded in (deserialize_store(serialize_store(store)), restore_checkpoint(make_checkpoint(store))):
+        assert not loaded.tables["kv"]._index
+        assert state_hash(loaded) == state_hash(store)
